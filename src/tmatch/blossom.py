@@ -1,377 +1,444 @@
 """Maximum weight matching engine for general graphs.
 
-The core is a dense O(n^3) implementation of the primal-dual blossom
-method, operating on integer weights with exact arithmetic throughout.
-It keeps one dual value per vertex and per (possibly nested) blossom, so
-every solve can emit a complementary-slackness certificate that is checked
-independently of the search itself.
+A sparse primal-dual blossom method (Edmonds' blossom search with the
+dual updates of Galil, "Efficient algorithms for finding maximum matching
+in graphs", ACM Computing Surveys 18(1), 1986).  It works on adjacency
+lists over int-indexed Python lists, so the cost of a stage follows the
+number of edges rather than the square of the number of vertices, and
+every dual value is an exact Python integer.  It keeps one dual value per
+vertex and per (possibly nested) blossom, so every solve emits a
+complementary-slackness certificate that is checked independently of the
+search itself.
 
-The hot loop is written against flat numpy arrays; when numba is
-available it is JIT-compiled (cached on disk), otherwise the same code
-runs as plain Python.
-
-Node indexing inside the core is 1-based: nodes 1..n are vertices,
-slots n+1..2n hold blossoms.  A weight of 0 in the matrix means
-"no edge"; callers shift weights to be strictly positive.
+Inside the search, vertices are 0..n-1 and blossoms take the ids n..2n-1.
+Edge k has the two endpoints 2k and 2k+1; ``p ^ 1`` is the other end of
+endpoint p.
 """
+
+# The search below follows the structure of Joris van Rantwijk's maximum
+# weight matching, as shipped in NetworkX (networkx.max_weight_matching),
+# distributed under the 3-clause BSD license:
+#
+#   Copyright (c) 2004-2025, NetworkX Developers
+#   Aric Hagberg <hagberg@lanl.gov>
+#   Dan Schult <dschult@colgate.edu>
+#   Pieter Swart <swart@lanl.gov>
+#   All rights reserved.
+#
+#   Redistribution and use in source and binary forms, with or without
+#   modification, are permitted provided that the following conditions are
+#   met:
+#
+#     * Redistributions of source code must retain the above copyright
+#       notice, this list of conditions and the following disclaimer.
+#
+#     * Redistributions in binary form must reproduce the above
+#       copyright notice, this list of conditions and the following
+#       disclaimer in the documentation and/or other materials provided
+#       with the distribution.
+#
+#     * Neither the name of the NetworkX Developers nor the names of its
+#       contributors may be used to endorse or promote products derived
+#       from this software without specific prior written permission.
+#
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+#   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+#   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+#   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+#   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+#   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+#   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+#   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+#   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+#   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+#   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError, InstanceTooLargeError, InternalError
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
+# Size gate of the engine.  It bounds the running time (the method is
+# cubic in the worst case), not memory, which is linear in the edges.
+MAX_ENGINE_VERTICES = 2500
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+_FREE, _S, _T, _CRUMB = 0, 1, 2, 4
 
 
-_INF = np.int64(1) << np.int64(62)
+def _solve(n: int, endpoint: list[int], wt2: list[int]):
+    """Maximum weight matching of n vertices; edge k joins endpoint[2k]
+    and endpoint[2k+1] with doubled weight wt2[k] > 0.
 
-# Hard gate for the dense matrix representation; past this point the
-# quadratic matrices and cubic runtime are no longer reasonable.
-MAX_DENSE_VERTICES = 2500
-
-
-@njit(cache=True)
-def _solve_dense(n, gw, gu, gv):  # pragma: no cover - numba-compiled
-    """Maximum weight matching on a dense weight matrix.
-
-    gw/gu/gv are (2n+1) x (2n+1) matrices: gw[x][y] is the weight of the
-    best known real edge between components x and y (0 = none), and
-    gu/gv record that edge's real endpoints on the x and y side.
-
-    Returns (match, lab, st, flower, flower_len, n_x): the matched real
-    partner per vertex (0 = unmatched), final dual values, top-component
-    pointers and the surviving blossom structure.
+    Returns (mate, dual, childs): mate[v] is the partner of v or -1,
+    dual[v] is 2*y(v) for a vertex and dual[b] is z(b) for a blossom, and
+    childs[b] lists the sub-blossoms of each blossom still in use (None
+    for a free blossom id).
     """
-    nmax = 2 * n + 1
-    lab = np.zeros(nmax, dtype=np.int64)
-    match = np.zeros(nmax, dtype=np.int64)
-    slack = np.zeros(nmax, dtype=np.int64)
-    st = np.zeros(nmax, dtype=np.int64)
-    pa = np.zeros(nmax, dtype=np.int64)
-    S = np.full(nmax, -1, dtype=np.int64)
-    vis = np.zeros(nmax, dtype=np.int64)
-    flower = np.zeros((nmax, n + 2), dtype=np.int32)
-    flower_len = np.zeros(nmax, dtype=np.int64)
-    flower_from = np.zeros((nmax, n + 1), dtype=np.int32)
-    queue = np.zeros(8 * n + 16, dtype=np.int64)
-    stack = np.zeros(2 * n + 16, dtype=np.int64)
-    mstack = np.zeros((4 * n + 16, 2), dtype=np.int64)
-    buf = np.zeros(n + 2, dtype=np.int64)
-    # ctr[0]: queue head, ctr[1]: queue tail, ctr[2]: lca timestamp,
-    # ctr[3]: highest node slot in use (n_x).
-    ctr = np.zeros(4, dtype=np.int64)
-    ctr[3] = n
+    nb = 2 * n
+    neighbend: list[list[int]] = [[] for _ in range(n)]
+    for p in range(len(endpoint)):
+        neighbend[endpoint[p ^ 1]].append(p)
 
-    w_max = np.int64(0)
-    for u in range(1, n + 1):
-        st[u] = u
-        flower_from[u][u] = u
-        for v in range(1, n + 1):
-            if gw[u][v] > w_max:
-                w_max = gw[u][v]
-    for u in range(1, n + 1):
-        lab[u] = w_max
+    # mate[v]: remote endpoint of v's matched edge, or -1.
+    mate = [-1] * n
+    # label[b] of a top-level blossom: _FREE, _S or _T (| _CRUMB while a
+    # path is traced).  label[v] of a vertex inside a T-blossom is _T once
+    # v is reached from an S-vertex outside that blossom.
+    label = [_FREE] * nb
+    # labelend[b]: remote endpoint of the edge through which b got its label.
+    labelend = [-1] * nb
+    inblossom = list(range(n))
+    parent = [-1] * nb
+    # childs[b]: sub-blossoms in cyclic order starting at the base;
+    # endps[b][i] is the endpoint pair joining childs[i] to childs[i+1].
+    childs: list[list[int] | None] = [None] * nb
+    endps: list[list[int] | None] = [None] * nb
+    base = list(range(n)) + [-1] * n
+    # bestedge[x]: least-slack edge to an S-blossom (or, for a top-level
+    # S-blossom, to a different S-blossom), or -1.
+    bestedge = [-1] * nb
+    blossombest: list[list[int] | None] = [None] * nb
+    unused = list(range(nb - 1, n - 1, -1))
+    dual = [max(wt2) // 2] * n + [0] * n
+    allowed = [False] * (len(endpoint) // 2)
+    queue: list[int] = []
 
-    def slot_delta(x, y):
-        # Slack of the representative real edge stored at slot (x, y).
-        return lab[gu[x][y]] + lab[gv[x][y]] - 2 * gw[gu[x][y]][gv[x][y]]
+    def slack(k: int) -> int:
+        return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - wt2[k]
 
-    def update_slack(u, x):
-        if slack[x] == 0 or slot_delta(u, x) < slot_delta(slack[x], x):
-            slack[x] = u
-
-    def set_slack(x):
-        slack[x] = 0
-        for u in range(1, n + 1):
-            if gw[u][x] > 0 and st[u] != x and S[st[u]] == 0:
-                update_slack(u, x)
-
-    def q_push(x0):
-        top = 0
-        stack[top] = x0
-        top += 1
-        while top > 0:
-            top -= 1
-            x = stack[top]
-            if x <= n:
-                queue[ctr[1]] = x
-                ctr[1] += 1
+    def leaves(b: int) -> list[int]:
+        if b < n:
+            return [b]
+        out = []
+        stack = list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
             else:
-                for i in range(flower_len[x]):
-                    stack[top] = flower[x][i]
-                    top += 1
+                stack.extend(childs[t])
+        return out
 
-    def set_st(x0, b):
-        top = 0
-        stack[top] = x0
-        top += 1
-        while top > 0:
-            top -= 1
-            x = stack[top]
-            st[x] = b
-            if x > n:
-                for i in range(flower_len[x]):
-                    stack[top] = flower[x][i]
-                    top += 1
-
-    def get_pr(b, xr):
-        pr = 0
-        for i in range(flower_len[b]):
-            if flower[b][i] == xr:
-                pr = i
-                break
-        if pr % 2 == 1:
-            # Walk the odd cycle the other way so xr lands on an even position.
-            ln = flower_len[b]
-            for i in range(1, ln):
-                buf[i] = flower[b][ln - i]
-            for i in range(1, ln):
-                flower[b][i] = buf[i]
-            pr = ln - pr
-        return pr
-
-    def set_match(u0, v0):
-        top = 0
-        mstack[top][0] = u0
-        mstack[top][1] = v0
-        top += 1
-        while top > 0:
-            top -= 1
-            u = mstack[top][0]
-            v = mstack[top][1]
-            match[u] = gv[u][v]
-            if u > n:
-                eu = gu[u][v]
-                xr = flower_from[u][eu]
-                pr = get_pr(u, xr)
-                for i in range(pr):
-                    mstack[top][0] = flower[u][i]
-                    mstack[top][1] = flower[u][i ^ 1]
-                    top += 1
-                mstack[top][0] = xr
-                mstack[top][1] = v
-                top += 1
-                # Rotate so xr becomes the base of the blossom.
-                ln = flower_len[u]
-                for i in range(ln):
-                    buf[i] = flower[u][(i + pr) % ln]
-                for i in range(ln):
-                    flower[u][i] = buf[i]
-
-    def augment(u0, v0):
-        u = u0
-        v = v0
+    def assign_label(w: int, t: int, p: int) -> None:
         while True:
-            xnv = st[match[u]]
-            set_match(u, v)
-            if xnv == 0:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labelend[w] = labelend[b] = p
+            bestedge[w] = bestedge[b] = -1
+            if t == _S:
+                queue.extend(leaves(b))
                 return
-            set_match(xnv, st[pa[xnv]])
-            u = st[pa[xnv]]
-            v = xnv
+            # A T-blossom's base is matched; its mate becomes an S-vertex.
+            mb = mate[base[b]]
+            w, t, p = endpoint[mb], _S, mb ^ 1
 
-    def get_lca(u0, v0):
-        ctr[2] += 1
-        u = u0
-        v = v0
-        while u != 0 or v != 0:
-            if u != 0:
-                if vis[u] == ctr[2]:
-                    return u
-                vis[u] = ctr[2]
-                u = st[match[u]]
-                if u != 0:
-                    u = st[pa[u]]
-            t = u
-            u = v
-            v = t
-        return 0
+    def scan_blossom(v: int, w: int) -> int:
+        """Trace back from S-vertices v and w; return the base of a new
+        blossom, or -1 when the paths end at two single vertices."""
+        path = []
+        found = -1
+        while v != -1 or w != -1:
+            b = inblossom[v]
+            if label[b] & _CRUMB:
+                found = base[b]
+                break
+            path.append(b)
+            label[b] = _S | _CRUMB
+            if labelend[b] == -1:
+                v = -1
+            else:
+                v = endpoint[labelend[inblossom[endpoint[labelend[b]]]]]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = _S
+        return found
 
-    def add_blossom(u, lca, v):
-        b = n + 1
-        while b <= ctr[3] and st[b] != 0:
-            b += 1
-        if b > ctr[3]:
-            ctr[3] += 1
-        lab[b] = 0
-        S[b] = 0
-        match[b] = match[lca]
-        flower[b][0] = lca
-        flower_len[b] = 1
-        x = u
-        while x != lca:
-            flower[b][flower_len[b]] = x
-            flower_len[b] += 1
-            y = st[match[x]]
-            flower[b][flower_len[b]] = y
-            flower_len[b] += 1
-            q_push(y)
-            x = st[pa[y]]
-        ln = flower_len[b]
-        for i in range(1, ln):
-            buf[i] = flower[b][ln - i]
-        for i in range(1, ln):
-            flower[b][i] = buf[i]
-        x = v
-        while x != lca:
-            flower[b][flower_len[b]] = x
-            flower_len[b] += 1
-            y = st[match[x]]
-            flower[b][flower_len[b]] = y
-            flower_len[b] += 1
-            q_push(y)
-            x = st[pa[y]]
-        set_st(b, b)
-        n_x = ctr[3]
-        for x in range(1, n_x + 1):
-            gw[b][x] = 0
-            gw[x][b] = 0
-        for x in range(1, n + 1):
-            flower_from[b][x] = 0
-        for i in range(flower_len[b]):
-            xs = flower[b][i]
-            for x in range(1, n_x + 1):
-                if gw[xs][x] > 0 and (gw[b][x] == 0 or slot_delta(xs, x) < slot_delta(b, x)):
-                    gw[b][x] = gw[xs][x]
-                    gu[b][x] = gu[xs][x]
-                    gv[b][x] = gv[xs][x]
-                    gw[x][b] = gw[x][xs]
-                    gu[x][b] = gu[x][xs]
-                    gv[x][b] = gv[x][xs]
-            for x in range(1, n + 1):
-                if flower_from[xs][x] != 0:
-                    flower_from[b][x] = xs
-        set_slack(b)
+    def add_blossom(bbase: int, k: int) -> None:
+        v = endpoint[2 * k]
+        w = endpoint[2 * k + 1]
+        bb = inblossom[bbase]
+        bv = inblossom[v]
+        bw = inblossom[w]
+        b = unused.pop()
+        base[b] = bbase
+        parent[b] = -1
+        parent[bb] = b
+        childs[b] = path = []
+        endps[b] = eps = []
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            eps.append(labelend[bv])
+            bv = inblossom[endpoint[labelend[bv]]]
+        path.append(bb)
+        path.reverse()
+        eps.reverse()
+        eps.append(2 * k)
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            eps.append(labelend[bw] ^ 1)
+            bw = inblossom[endpoint[labelend[bw]]]
+        label[b] = _S
+        labelend[b] = labelend[bb]
+        dual[b] = 0
+        for x in leaves(b):
+            if label[inblossom[x]] == _T:
+                # A T-vertex inside a new S-blossom becomes an S-vertex.
+                queue.append(x)
+            inblossom[x] = b
+        # Least-slack edges from b to each neighbouring S-blossom.
+        bestto: dict[int, int] = {}
+        for sub in path:
+            if blossombest[sub] is None:
+                ks = [p >> 1 for x in leaves(sub) for p in neighbend[x]]
+            else:
+                ks = blossombest[sub]
+            for kk in ks:
+                i = endpoint[2 * kk]
+                j = endpoint[2 * kk + 1]
+                if inblossom[j] == b:
+                    j = i
+                bj = inblossom[j]
+                if bj != b and label[bj] == _S:
+                    cur = bestto.get(bj)
+                    if cur is None or slack(kk) < slack(cur):
+                        bestto[bj] = kk
+            blossombest[sub] = None
+            bestedge[sub] = -1
+        blossombest[b] = list(bestto.values())
+        bestedge[b] = min(blossombest[b], key=slack, default=-1)
 
-    def expand_blossom(b):
-        for i in range(flower_len[b]):
-            set_st(flower[b][i], flower[b][i])
-        xr = flower_from[b][gu[b][pa[b]]]
-        pr = get_pr(b, xr)
-        i = 0
-        while i < pr:
-            xs = flower[b][i]
-            xns = flower[b][i + 1]
-            pa[xs] = gu[xns][xs]
-            S[xs] = 1
-            S[xns] = 0
-            slack[xs] = 0
-            set_slack(xns)
-            q_push(xns)
-            i += 2
-        S[xr] = 1
-        pa[xr] = pa[b]
-        for i in range(pr + 1, flower_len[b]):
-            xs = flower[b][i]
-            S[xs] = -1
-            set_slack(xs)
-        st[b] = 0
+    def expand_blossom(b0: int, endstage: bool) -> None:
+        work = [b0]
+        while work:
+            b = work.pop()
+            for s in childs[b]:
+                parent[s] = -1
+                if s < n:
+                    inblossom[s] = s
+                elif endstage and dual[s] == 0:
+                    # Expand zero-dual sub-blossoms too at the end of a stage.
+                    work.append(s)
+                else:
+                    for x in leaves(s):
+                        inblossom[x] = s
+            if not endstage and label[b] == _T:
+                relabel_expanded_t(b)
+            label[b] = labelend[b] = -1
+            childs[b] = endps[b] = None
+            base[b] = -1
+            blossombest[b] = None
+            bestedge[b] = -1
+            unused.append(b)
 
-    def on_found_edge(ru, rv):
-        # (ru, rv) is a tight real edge; returns True after an augmentation.
-        u = st[ru]
-        v = st[rv]
-        if S[v] == -1:
-            pa[v] = ru
-            S[v] = 1
-            nu = st[match[v]]
-            slack[v] = 0
-            slack[nu] = 0
-            S[nu] = 0
-            q_push(nu)
-        elif S[v] == 0:
-            lca = get_lca(u, v)
-            if lca == 0:
-                augment(u, v)
-                augment(v, u)
-                return True
-            add_blossom(u, lca, v)
-        return False
+    def relabel_expanded_t(b: int) -> None:
+        # The T-blossom b is being expanded mid-stage: relabel the
+        # sub-blossoms on the even-length path from its entry to its base.
+        cb = childs[b]
+        eb = endps[b]
+        entry = inblossom[endpoint[labelend[b] ^ 1]]
+        j = cb.index(entry)
+        if j & 1:
+            j -= len(cb)
+            jstep, trick = 1, 0
+        else:
+            jstep, trick = -1, 1
+        p = labelend[b]
+        while j != 0:
+            label[endpoint[p ^ 1]] = _FREE
+            label[endpoint[eb[j - trick] ^ trick ^ 1]] = _FREE
+            assign_label(endpoint[p ^ 1], _T, p)
+            allowed[eb[j - trick] >> 1] = True
+            j += jstep
+            p = eb[j - trick] ^ trick
+            allowed[p >> 1] = True
+            j += jstep
+        bv = cb[j]
+        label[endpoint[p ^ 1]] = label[bv] = _T
+        labelend[endpoint[p ^ 1]] = labelend[bv] = p
+        bestedge[bv] = -1
+        j += jstep
+        # The other sub-blossoms become T only if reached from outside.
+        while cb[j] != entry:
+            bv = cb[j]
+            j += jstep
+            if label[bv] == _S:
+                continue
+            for x in leaves(bv):
+                if label[x] != _FREE:
+                    label[x] = _FREE
+                    label[endpoint[mate[base[bv]]]] = _FREE
+                    assign_label(x, _T, labelend[x])
+                    break
 
-    def matching():
-        n_x = ctr[3]
-        for x in range(1, n_x + 1):
-            S[x] = -1
-            slack[x] = 0
-        ctr[0] = 0
-        ctr[1] = 0
-        for x in range(1, n_x + 1):
-            if st[x] == x and match[x] == 0:
-                pa[x] = 0
-                S[x] = 0
-                q_push(x)
-        if ctr[0] == ctr[1]:
-            return False
+    def augment_blossom(b0: int, v0: int) -> None:
+        # Sub-blossoms touch disjoint parts of the matching, so the
+        # recursive calls of the textbook form can run in any order.
+        work = [(b0, v0)]
+        while work:
+            b, v = work.pop()
+            t = v
+            while parent[t] != b:
+                t = parent[t]
+            if t >= n:
+                work.append((t, v))
+            cb = childs[b]
+            eb = endps[b]
+            i = j = cb.index(t)
+            if i & 1:
+                j -= len(cb)
+                jstep, trick = 1, 0
+            else:
+                jstep, trick = -1, 1
+            while j != 0:
+                j += jstep
+                t = cb[j]
+                p = eb[j - trick] ^ trick
+                if t >= n:
+                    work.append((t, endpoint[p]))
+                j += jstep
+                t = cb[j]
+                if t >= n:
+                    work.append((t, endpoint[p ^ 1]))
+                mate[endpoint[p]] = p ^ 1
+                mate[endpoint[p ^ 1]] = p
+            childs[b] = cb[i:] + cb[:i]
+            endps[b] = eb[i:] + eb[:i]
+            base[b] = v
+
+    def augment_matching(k: int) -> None:
+        for (s, p) in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = p
+                if labelend[bs] == -1:
+                    break
+                bt = inblossom[endpoint[labelend[bs]]]
+                s = endpoint[labelend[bt]]
+                j = endpoint[labelend[bt] ^ 1]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = labelend[bt]
+                p = labelend[bt] ^ 1
+
+    for _stage in range(n // 2 + 1):
+        label[:] = [_FREE] * nb
+        bestedge[:] = [-1] * nb
+        blossombest[n:] = [None] * n
+        allowed[:] = [False] * len(allowed)
+        queue.clear()
+        # Every single vertex is the base of a top-level blossom: label S.
+        for v in range(n):
+            if mate[v] == -1:
+                b = inblossom[v]
+                label[v] = label[b] = _S
+                labelend[v] = labelend[b] = -1
+                if b == v:
+                    queue.append(v)
+                else:
+                    queue.extend(leaves(b))
+        if not queue:
+            break
+
+        augmented = False
         while True:
-            while ctr[0] < ctr[1]:
-                u = queue[ctr[0]]
-                ctr[0] += 1
-                if S[st[u]] == 1:
-                    continue
-                for v in range(1, n + 1):
-                    if gw[u][v] > 0 and st[u] != st[v]:
-                        if lab[u] + lab[v] - 2 * gw[u][v] == 0:
-                            if on_found_edge(u, v):
-                                return True
-                        else:
-                            update_slack(u, st[v])
-            n_x = ctr[3]
-            d = _INF
-            for b in range(n + 1, n_x + 1):
-                if st[b] == b and S[b] == 1 and lab[b] // 2 < d:
-                    d = lab[b] // 2
-            for x in range(1, n_x + 1):
-                if st[x] == x and slack[x] != 0:
-                    if S[x] == -1:
-                        if slot_delta(slack[x], x) < d:
-                            d = slot_delta(slack[x], x)
-                    elif S[x] == 0:
-                        if slot_delta(slack[x], x) // 2 < d:
-                            d = slot_delta(slack[x], x) // 2
-            for x in range(1, n + 1):
-                if S[st[x]] == 0:
-                    if lab[x] <= d:
-                        return False
-                    lab[x] -= d
-                elif S[st[x]] == 1:
-                    lab[x] += d
-            for b in range(n + 1, n_x + 1):
-                if st[b] == b:
-                    if S[b] == 0:
-                        lab[b] += 2 * d
-                    elif S[b] == 1:
-                        lab[b] -= 2 * d
-            ctr[0] = 0
-            ctr[1] = 0
-            for x in range(1, n_x + 1):
-                if (st[x] == x and slack[x] != 0 and st[slack[x]] != x
-                        and slot_delta(slack[x], x) == 0):
-                    if on_found_edge(gu[slack[x]][x], gv[slack[x]][x]):
-                        return True
-            for b in range(n + 1, n_x + 1):
-                if st[b] == b and S[b] == 1 and lab[b] == 0:
-                    expand_blossom(b)
-        return False
+            while queue and not augmented:
+                v = queue.pop()
+                for p in neighbend[v]:
+                    k = p >> 1
+                    w = endpoint[p]
+                    # Re-read: a blossom formed while scanning v absorbs it.
+                    bv = inblossom[v]
+                    bw = inblossom[w]
+                    if bv == bw:
+                        continue
+                    if not allowed[k]:
+                        kslack = dual[v] + dual[w] - wt2[k]
+                        if kslack <= 0:
+                            allowed[k] = True
+                    if allowed[k]:
+                        lw = label[bw]
+                        if lw == _FREE:
+                            assign_label(w, _T, p ^ 1)
+                        elif lw == _S:
+                            found = scan_blossom(v, w)
+                            if found >= 0:
+                                add_blossom(found, k)
+                            else:
+                                augment_matching(k)
+                                augmented = True
+                                break
+                        elif label[w] == _FREE:
+                            # w sits in a T-blossom and is reached here first.
+                            label[w] = _T
+                            labelend[w] = p ^ 1
+                    elif label[bw] == _S:
+                        if bestedge[bv] == -1 or kslack < slack(bestedge[bv]):
+                            bestedge[bv] = k
+                    elif label[w] == _FREE:
+                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                            bestedge[w] = k
+            if augmented:
+                break
 
-    while matching():
-        pass
-    return match, lab, st, flower, flower_len, ctr[3]
+            # No augmenting path under the current duals: take the largest
+            # dual step that keeps every constraint (all values doubled).
+            delta = min(dual[:n])
+            deltatype = 1
+            deltaedge = deltablossom = -1
+            for v in range(n):
+                if label[inblossom[v]] == _FREE and bestedge[v] != -1:
+                    d = slack(bestedge[v])
+                    if d < delta:
+                        delta, deltatype, deltaedge = d, 2, bestedge[v]
+            for b in range(nb):
+                if parent[b] == -1 and label[b] == _S and bestedge[b] != -1:
+                    d = slack(bestedge[b]) // 2
+                    if d < delta:
+                        delta, deltatype, deltaedge = d, 3, bestedge[b]
+            for b in range(n, nb):
+                if (base[b] >= 0 and parent[b] == -1 and label[b] == _T
+                        and dual[b] < delta):
+                    delta, deltatype, deltablossom = dual[b], 4, b
+
+            for v in range(n):
+                lv = label[inblossom[v]]
+                if lv == _S:
+                    dual[v] -= delta
+                elif lv == _T:
+                    dual[v] += delta
+            for b in range(n, nb):
+                if base[b] >= 0 and parent[b] == -1:
+                    if label[b] == _S:
+                        dual[b] += delta
+                    elif label[b] == _T:
+                        dual[b] -= delta
+
+            if deltatype == 1:
+                # A vertex dual reached zero: no larger matching exists.
+                break
+            if deltatype == 4:
+                expand_blossom(deltablossom, False)
+            else:
+                allowed[deltaedge] = True
+                i = endpoint[2 * deltaedge]
+                if label[inblossom[i]] != _S:
+                    i = endpoint[2 * deltaedge + 1]
+                queue.append(i)
+
+        if not augmented:
+            break
+        for b in range(n, nb):
+            if parent[b] == -1 and base[b] >= 0 and label[b] == _S and dual[b] == 0:
+                expand_blossom(b, True)
+
+    partner = [endpoint[m] if m >= 0 else -1 for m in mate]
+    return partner, dual, childs
 
 
 @dataclass
@@ -434,35 +501,6 @@ def verify_optimum(
             raise InternalError("blossom with positive dual is not near-perfectly matched")
 
 
-def _collect_blossoms(n, lab, st, flower, flower_len, n_x):
-    """Flatten surviving blossoms into (member_vertices, dual) pairs."""
-    out = []
-    tops = [b for b in range(n + 1, n_x + 1) if st[b] == b]
-    seen: set[int] = set()
-
-    def members_of(b: int) -> list[int]:
-        verts = []
-        work = [b]
-        while work:
-            x = work.pop()
-            if x <= n:
-                verts.append(x - 1)
-            else:
-                work.extend(int(flower[x][i]) for i in range(flower_len[x]))
-        return verts
-
-    work = list(tops)
-    while work:
-        b = work.pop()
-        if b in seen or b <= n:
-            continue
-        seen.add(b)
-        if lab[b] > 0:
-            out.append((sorted(members_of(b)), int(lab[b])))
-        work.extend(int(flower[b][i]) for i in range(flower_len[b]))
-    return out
-
-
 def maximum_weight_perfect_matching(
     n: int,
     edges: list[tuple[int, int, int]],
@@ -472,20 +510,20 @@ def maximum_weight_perfect_matching(
     """Maximum weight perfect matching of a general graph.
 
     ``edges`` are (u, v, w) with integer weights of any sign; parallel
-    edges are allowed (only a maximum-weight representative of each pair
-    can ever be used).  Vertices are 0-based.
+    edges are allowed (only a maximum-weight representative of each pair,
+    the lowest id among equals, can ever be used).  Vertices are 0-based.
 
     Returns (mate, total_weight, certificate) where mate[v] is the partner
     of v.  Raises InfeasibleError if the graph has no perfect matching and
-    InstanceTooLargeError above the dense-matrix gate.
+    InstanceTooLargeError above MAX_ENGINE_VERTICES.
     """
     if n % 2 != 0:
         raise InfeasibleError("odd number of vertices; no perfect matching exists")
     if n == 0:
         return [], 0, MatchingCertificate([], [], 0)
-    if n > MAX_DENSE_VERTICES:
+    if n > MAX_ENGINE_VERTICES:
         raise InstanceTooLargeError(
-            f"dense matching engine gated at {MAX_DENSE_VERTICES} vertices, got {n}"
+            f"matching engine gated at {MAX_ENGINE_VERTICES} vertices, got {n}"
         )
 
     w_abs_max = max((abs(w) for (_, _, w) in edges), default=0)
@@ -493,66 +531,43 @@ def maximum_weight_perfect_matching(
     # matched edge always beats any redistribution of weight: this makes
     # the maximum weight matching a maximum cardinality one.
     shift = (n + 1) * (w_abs_max + 1) + 1
-    guard = (shift + w_abs_max + 1) * (n + 2) * 4
-    if guard >= (1 << 62):
-        raise InstanceTooLargeError("edge weights too large for 64-bit dual arithmetic")
 
-    nmax = 2 * n + 1
-    gw = np.zeros((nmax, nmax), dtype=np.int64)
-    gu = np.zeros((nmax, nmax), dtype=np.int32)
-    gv = np.zeros((nmax, nmax), dtype=np.int32)
     best_eid: dict[tuple[int, int], int] = {}
     for eid, (u, v, w) in enumerate(edges):
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise InternalError(f"bad engine edge ({u},{v})")
-        ws = w + shift
-        a, b = u + 1, v + 1
-        if ws > gw[a][b]:
-            gw[a][b] = gw[b][a] = ws
-            gu[a][b] = a
-            gv[a][b] = b
-            gu[b][a] = b
-            gv[b][a] = a
-            best_eid[(min(u, v), max(u, v))] = eid
+        key = (u, v) if u < v else (v, u)
+        cur = best_eid.get(key)
+        if cur is None or w > edges[cur][2]:
+            best_eid[key] = eid
+    if not best_eid:
+        raise InfeasibleError("graph has no perfect matching")
+    endpoint: list[int] = []
+    wt2: list[int] = []
+    for (u, v), eid in best_eid.items():
+        endpoint.append(u)
+        endpoint.append(v)
+        wt2.append(2 * (edges[eid][2] + shift))
 
-    match, lab, st, flower, flower_len, n_x = _solve_dense(n, gw, gu, gv)
-
-    mate = [-1] * n
-    for u in range(1, n + 1):
-        if match[u] != 0:
-            mate[u - 1] = int(match[u]) - 1
-    if any(m < 0 for m in mate):
+    mate, dual, childs = _solve(n, endpoint, wt2)
+    if -1 in mate:
         raise InfeasibleError("graph has no perfect matching")
 
-    total = 0
-    for v in range(n):
-        if mate[v] > v:
-            key = (v, mate[v])
-            if key not in best_eid:
-                raise InternalError("matched pair without a real edge")
-            total += edges[best_eid[key]][2]
+    total = sum(edges[best_eid[(v, mate[v])]][2] for v in range(n) if mate[v] > v)
 
-    cert = MatchingCertificate(
-        vertex_dual=[int(lab[v + 1]) for v in range(n)],
-        blossoms=_collect_blossoms(n, lab, st, flower, flower_len, int(n_x)),
-        shift=shift,
-    )
+    blossoms = []
+    for b in range(n, 2 * n):
+        if childs[b] is not None and dual[b] > 0:
+            members = []
+            stack = [b]
+            while stack:
+                x = stack.pop()
+                if x < n:
+                    members.append(x)
+                else:
+                    stack.extend(childs[x])
+            blossoms.append((sorted(members), 2 * dual[b]))
+    cert = MatchingCertificate(vertex_dual=dual[:n], blossoms=blossoms, shift=shift)
     if verify:
         verify_optimum(n, edges, mate, cert)
     return mate, total, cert
-
-
-def matched_edge_ids(
-    edges: list[tuple[int, int, int]], mate: list[int]
-) -> list[int]:
-    """Edge ids realizing a mate array, preferring maximum weight then lowest id."""
-    best: dict[tuple[int, int], int] = {}
-    for eid, (u, v, w) in enumerate(edges):
-        key = (min(u, v), max(u, v))
-        if key not in best or w > edges[best[key]][2]:
-            best[key] = eid
-    out = []
-    for v, m in enumerate(mate):
-        if m > v:
-            out.append(best[(v, m)])
-    return out

@@ -23,8 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import MatchingCertificate, maximum_weight_perfect_matching
-from .errors import InfeasibleError, InternalError
+from .blossom import (
+    MAX_ENGINE_VERTICES,
+    MatchingCertificate,
+    maximum_weight_perfect_matching,
+)
+from .errors import InfeasibleError, InstanceTooLargeError, InternalError
 from .gadgets import AuxiliaryInstance
 from .graph import ORIGINAL, CapacityVector, MultiGraph
 
@@ -152,6 +156,19 @@ def solve_lb(
         star_deg[y] += 1
 
     # --- split graph: externals per edge slot, internals per slack unit.
+    n_internal = [star_deg[x] - bound[x] for x in range(n_star)]
+    for x in range(n_star):
+        if n_internal[x] < 0:
+            raise InfeasibleError(
+                f"exact degree {bound[x]} unreachable at an expansion vertex"
+            )
+    size = 2 * len(star_edges) + sum(n_internal)
+    if size > MAX_ENGINE_VERTICES:
+        raise InstanceTooLargeError(
+            f"lb expansion needs {size} matching vertices "
+            f"({n_star} doubled vertices, {len(star_edges)} doubled edges); "
+            f"the matching engine is gated at {MAX_ENGINE_VERTICES}"
+        )
     n_hat = 0
     ext_of_vertex: list[list[int]] = [[] for _ in range(n_star)]
     hat_edges: list[tuple[int, int, int]] = []
@@ -165,12 +182,7 @@ def solve_lb(
         edge_ext.append((ex, ey))
         hat_edges.append((ex, ey, w))
     for x in range(n_star):
-        n_int = star_deg[x] - bound[x]
-        if n_int < 0:
-            raise InfeasibleError(
-                f"exact degree {bound[x]} unreachable at an expansion vertex"
-            )
-        for _ in range(n_int):
+        for _ in range(n_internal[x]):
             iv = n_hat
             n_hat += 1
             for ev in ext_of_vertex[x]:

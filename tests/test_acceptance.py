@@ -12,7 +12,7 @@ import time
 import pytest
 
 from tmatch import Graph, Variant, solve
-from tmatch.blossom import MAX_DENSE_VERTICES
+from tmatch.blossom import MAX_ENGINE_VERTICES
 from tmatch.cli import main as cli_main
 from tmatch.detect import (
     BICLIQUE,
@@ -456,7 +456,7 @@ def test_criterion_9_scale_targets():
         print(
             "[criterion 9b] FAIL - scale targets unattainable without the "
             f"excluded warm-start engine: {failure} "
-            f"(dense engine gate: {MAX_DENSE_VERTICES} vertices)"
+            f"(engine gate: {MAX_ENGINE_VERTICES} vertices)"
         )
         pytest.fail(
             "criterion 9 scale targets cannot be met by the "

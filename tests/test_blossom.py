@@ -1,15 +1,25 @@
 import itertools
 import random
 
+import networkx
 import pytest
 
 from tmatch.blossom import (
     MatchingCertificate,
-    matched_edge_ids,
     maximum_weight_perfect_matching,
     verify_optimum,
 )
 from tmatch.errors import InfeasibleError, InternalError
+
+
+def matched_edge_ids(edges, mate):
+    """Edge ids realizing a mate array, preferring maximum weight then lowest id."""
+    best = {}
+    for eid, (u, v, w) in enumerate(edges):
+        key = (min(u, v), max(u, v))
+        if key not in best or w > edges[best[key]][2]:
+            best[key] = eid
+    return [best[(v, m)] for v, m in enumerate(mate) if m > v]
 
 
 def brute_force_perfect(n, edges):
@@ -112,3 +122,71 @@ def test_blossom_heavy_structure():
     ]
     _, w, _ = maximum_weight_perfect_matching(6, edges)
     assert w == brute_force_perfect(6, edges) == 13
+
+
+def _nested_odd_cycles(rng, depth, offset):
+    """3**depth vertices: three copies of the depth-1 structure joined in
+    an odd cycle, with heavier edges deeper down so blossoms nest."""
+    if depth == 0:
+        return [offset], []
+    verts, edges = [], []
+    parts = []
+    for i in range(3):
+        vs, es = _nested_odd_cycles(rng, depth - 1, offset + i * 3 ** (depth - 1))
+        parts.append(vs)
+        verts += vs
+        edges += es
+    for i in range(3):
+        a, b = rng.choice(parts[i]), rng.choice(parts[(i + 1) % 3])
+        edges.append((a, b, 10 * depth + rng.randint(0, 3)))
+    return verts, edges
+
+
+def _differential_instance(rng, n):
+    """Random sparse graph on n vertices with a planted perfect matching,
+    negative weights, parallel edges and nested odd cycles."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[i + 1], rng.randint(-40, 10)) for i in range(0, n, 2)]
+    offset = 0
+    while offset + 28 <= n:
+        _, es = _nested_odd_cycles(rng, 3, offset)
+        edges += es
+        edges.append((offset + 27, rng.randrange(offset, offset + 27), 1))
+        offset += 28 + rng.randrange(0, 40, 2)
+    for _ in range(int(1.5 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.randint(-40, 40)))
+    for _ in range(n // 10):
+        (u, v, _) = rng.choice(edges)
+        edges.append((v, u, rng.randint(-40, 40)))
+    return edges
+
+
+def test_differential_against_networkx():
+    rng = random.Random(2024)
+    nested_seen = False
+    for n in (100, 250, 500, 1000):
+        edges = _differential_instance(rng, n)
+        mate, total, cert = maximum_weight_perfect_matching(n, edges)
+
+        g = networkx.Graph()
+        g.add_nodes_from(range(n))
+        for (u, v, w) in edges:
+            if not g.has_edge(u, v) or g[u][v]["weight"] < w:
+                g.add_edge(u, v, weight=w)
+        ref = networkx.max_weight_matching(g, maxcardinality=True)
+        assert 2 * len(ref) == n
+        assert total == sum(g[u][v]["weight"] for (u, v) in ref)
+
+        verify_optimum(n, edges, mate, cert)
+        lowered = list(cert.vertex_dual)
+        lowered[rng.randrange(n)] -= 1
+        with pytest.raises(InternalError):
+            verify_optimum(
+                n, edges, mate, MatchingCertificate(lowered, cert.blossoms, cert.shift)
+            )
+
+        sets = [set(members) for (members, _) in cert.blossoms]
+        nested_seen |= any(a < b for a in sets for b in sets)
+    assert nested_seen

@@ -1,8 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from tmatch import Variant
 from tmatch.cli import main
+from tmatch.detect import find_all_forbidden
+from tmatch.generators import (
+    plant_forbidden,
+    random_bounded,
+    reweighted,
+    vertex_induced_weights,
+)
 
 
 def write(tmp_path, text, name="inst.txt"):
@@ -123,3 +134,28 @@ def test_deterministic_output(tmp_path, capsys):
     main(["solve", p, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_deterministic_json_smoke_instance(tmp_path):
+    # The n=68 weighted smoke instance, solved by two separate processes
+    # with different hash seeds: the --json output must match byte for byte.
+    g = plant_forbidden(random_bounded(60, 3, 0.5, 7), "clique", 2, 8)
+    records, _, _ = find_all_forbidden(g, Variant.restricted())
+    g = reweighted(g, vertex_induced_weights(g, records, (0, 5), (0, 6), 9))
+    assert g.n == 68
+    lines = [f"{g.n} {g.m} {g.t} restricted"]
+    lines += [f"{u} {v} {wd // 2}" for (u, v, wd) in g.edges]
+    path = write(tmp_path, "\n".join(lines) + "\n", "smoke68.txt")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "tmatch.cli", "solve", path, "--json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])

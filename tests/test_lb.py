@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tmatch.errors import InfeasibleError
+import tmatch.lb
+from tmatch.blossom import MAX_ENGINE_VERTICES
+from tmatch.errors import InfeasibleError, InstanceTooLargeError
 from tmatch.graph import CapacityVector, MultiGraph
 from tmatch.lb import (
     solve_lb,
@@ -138,3 +140,14 @@ def test_expansion_shape_matches_construction():
     assert ex.added_paths == paths
     assert ex.star_vertices == 6 + 2 * paths
     assert ex.star_edges == 2 * mg.m + 3 * paths
+
+
+def test_size_gate_fires_before_expansion(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine must not see an oversize expansion")
+
+    monkeypatch.setattr(tmatch.lb, "maximum_weight_perfect_matching", engine)
+    k = MAX_ENGINE_VERTICES // 4 + 1
+    mg = mg_from(2, [(0, 1, 1)] * k)
+    with pytest.raises(InstanceTooLargeError, match="lb expansion"):
+        solve_lb(mg, CapacityVector([k, k], [k, k]), [1] * k, maximize=True)
