@@ -68,7 +68,8 @@ _FREE, _S, _T, _CRUMB = 0, 1, 2, 4
 
 def _solve(n: int, endpoint: list[int], wt2: list[int]):
     """Maximum weight matching of n vertices; edge k joins endpoint[2k]
-    and endpoint[2k+1] with doubled weight wt2[k] > 0.
+    and endpoint[2k+1] with doubled weight wt2[k] > 0.  Free vertices end
+    with dual zero.
 
     Returns (mate, dual, childs): mate[v] is the partner of v or -1,
     dual[v] is 2*y(v) for a vertex and dual[b] is z(b) for a blossom, and
@@ -94,31 +95,32 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
     # endps[b][i] is the endpoint pair joining childs[i] to childs[i+1].
     childs: list[list[int] | None] = [None] * nb
     endps: list[list[int] | None] = [None] * nb
+    # leaves[b]: the vertices inside b, kept while b is in use.
+    leaves: list[list[int] | None] = [[v] for v in range(n)] + [None] * n
     base = list(range(n)) + [-1] * n
     # bestedge[x]: least-slack edge to an S-blossom (or, for a top-level
     # S-blossom, to a different S-blossom), or -1.
     bestedge = [-1] * nb
     blossombest: list[list[int] | None] = [None] * nb
     unused = list(range(nb - 1, n - 1, -1))
-    dual = [max(wt2) // 2] * n + [0] * n
+    top = max(wt2, default=0)
+    dual = [top // 2] * n + [0] * n
     allowed = [False] * (len(endpoint) // 2)
     queue: list[int] = []
 
+    # Warm start: every vertex dual is equal, so the heaviest edges are
+    # tight; matching them greedily is the state zero-delta augmentations
+    # would reach, and every invariant of the search holds.
+    for k in range(len(wt2)):
+        if wt2[k] == top:
+            i = endpoint[2 * k]
+            j = endpoint[2 * k + 1]
+            if mate[i] == -1 and mate[j] == -1:
+                mate[i] = 2 * k + 1
+                mate[j] = 2 * k
+
     def slack(k: int) -> int:
         return dual[endpoint[2 * k]] + dual[endpoint[2 * k + 1]] - wt2[k]
-
-    def leaves(b: int) -> list[int]:
-        if b < n:
-            return [b]
-        out = []
-        stack = list(childs[b])
-        while stack:
-            t = stack.pop()
-            if t < n:
-                out.append(t)
-            else:
-                stack.extend(childs[t])
-        return out
 
     def assign_label(w: int, t: int, p: int) -> None:
         while True:
@@ -127,7 +129,7 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
             labelend[w] = labelend[b] = p
             bestedge[w] = bestedge[b] = -1
             if t == _S:
-                queue.extend(leaves(b))
+                queue.extend(leaves[b])
                 return
             # A T-blossom's base is matched; its mate becomes an S-vertex.
             mb = mate[base[b]]
@@ -184,7 +186,8 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
         label[b] = _S
         labelend[b] = labelend[bb]
         dual[b] = 0
-        for x in leaves(b):
+        leaves[b] = [x for sub in path for x in leaves[sub]]
+        for x in leaves[b]:
             if label[inblossom[x]] == _T:
                 # A T-vertex inside a new S-blossom becomes an S-vertex.
                 queue.append(x)
@@ -193,7 +196,7 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
         bestto: dict[int, int] = {}
         for sub in path:
             if blossombest[sub] is None:
-                ks = [p >> 1 for x in leaves(sub) for p in neighbend[x]]
+                ks = [p >> 1 for x in leaves[sub] for p in neighbend[x]]
             else:
                 ks = blossombest[sub]
             for kk in ks:
@@ -223,12 +226,12 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
                     # Expand zero-dual sub-blossoms too at the end of a stage.
                     work.append(s)
                 else:
-                    for x in leaves(s):
+                    for x in leaves[s]:
                         inblossom[x] = s
             if not endstage and label[b] == _T:
                 relabel_expanded_t(b)
             label[b] = labelend[b] = -1
-            childs[b] = endps[b] = None
+            childs[b] = endps[b] = leaves[b] = None
             base[b] = -1
             blossombest[b] = None
             bestedge[b] = -1
@@ -267,7 +270,7 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
             j += jstep
             if label[bv] == _S:
                 continue
-            for x in leaves(bv):
+            for x in leaves[bv]:
                 if label[x] != _FREE:
                     label[x] = _FREE
                     label[endpoint[mate[base[bv]]]] = _FREE
@@ -338,10 +341,7 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
                 b = inblossom[v]
                 label[v] = label[b] = _S
                 labelend[v] = labelend[b] = -1
-                if b == v:
-                    queue.append(v)
-                else:
-                    queue.extend(leaves(b))
+                queue.extend(leaves[b])
         if not queue:
             break
 
@@ -447,12 +447,14 @@ class MatchingCertificate:
 
     ``vertex_dual`` holds 2*y(v) in shifted-weight units; ``blossoms`` is a
     list of (member_vertices, 2*z) pairs for every blossom with positive
-    dual.  ``shift`` is the constant added to every edge weight before the
-    solve (used to force maximum cardinality)."""
+    dual.  ``shift`` is the bonus added to an edge's weight per required
+    endpoint before the solve; ``required`` marks the vertices the matching
+    must cover (None: every vertex)."""
 
     vertex_dual: list[int]
     blossoms: list[tuple[list[int], int]]
     shift: int
+    required: list[bool] | None = None
 
 
 def verify_optimum(
@@ -465,37 +467,66 @@ def verify_optimum(
 
     ``mate[v]`` is the matched partner of v or -1.  Edge weights here are
     the ORIGINAL (unshifted) weights; the certificate's shift is re-applied
-    so the dual inequalities are checked exactly as solved.
+    so the dual inequalities are checked exactly as solved.  The blossoms
+    must form a laminar family; every dual must be non-negative and every
+    free vertex must have dual zero.
 
     Raises InternalError if any condition fails.
     """
     y = cert.vertex_dual
-    in_blossom: list[list[int]] = [[] for _ in range(n)]
-    for bi, (members, zb) in enumerate(cert.blossoms):
+    req = [True] * n if cert.required is None else cert.required
+    # chain[v]: the blossoms containing v, outermost first; zsum[v][i] is
+    # the dual of the first i of them.  Laminarity makes the blossoms
+    # shared by u and v the common prefix of chain[u] and chain[v].
+    chain: list[list[int]] = [[] for _ in range(n)]
+    zsum: list[list[int]] = [[0] for _ in range(n)]
+    outermost_first = sorted(range(len(cert.blossoms)), key=lambda b: -len(cert.blossoms[b][0]))
+    for bi in outermost_first:
+        members, zb = cert.blossoms[bi]
         if zb < 0:
             raise InternalError("negative blossom dual")
         if len(members) % 2 != 1 or len(members) < 3:
             raise InternalError("blossom with even or trivial vertex set")
+        outer = chain[members[0]][-1:]
         for v in members:
-            in_blossom[v].append(bi)
-    # Only the best parallel edge constrains the dual; group by vertex pair.
-    best: dict[tuple[int, int], int] = {}
+            if chain[v][-1:] != outer:
+                raise InternalError("blossoms do not form a laminar family")
+            chain[v].append(bi)
+            zsum[v].append(zsum[v][-1] + zb)
+
+    def shared(u: int, v: int) -> int:
+        cu, cv = chain[u], chain[v]
+        i = 0
+        while i < len(cu) and i < len(cv) and cu[i] == cv[i]:
+            i += 1
+        return i
+
+    # A matched pair is certified by any tight edge between it: with every
+    # slack non-negative, that is a heaviest parallel edge.
+    tight = [False] * n
     for (u, v, w) in edges:
-        key = (min(u, v), max(u, v))
-        if key not in best or w > best[key]:
-            best[key] = w
-    nmatched_in = [0] * len(cert.blossoms)
-    for (u, v), w in best.items():
-        shared = set(in_blossom[u]) & set(in_blossom[v])
-        slack = y[u] + y[v] - 2 * (w + cert.shift)
-        slack += sum(cert.blossoms[b][1] for b in shared)
+        slack = y[u] + y[v] - 2 * (w + cert.shift * (req[u] + req[v]))
+        slack += zsum[u][shared(u, v)]
         if slack < 0:
             raise InternalError(f"edge ({u},{v}) has negative dual slack {slack}")
-        if mate[u] == v:
-            if slack != 0:
-                raise InternalError(f"matched edge ({u},{v}) is not tight (slack {slack})")
-            for b in shared:
-                nmatched_in[b] += 1
+        if slack == 0 and mate[u] == v:
+            tight[u] = tight[v] = True
+    nmatched_in = [0] * len(cert.blossoms)
+    for u in range(n):
+        v = mate[u]
+        if y[u] < 0:
+            raise InternalError(f"vertex {u} has negative dual {y[u]}")
+        if v == -1:
+            if y[u] != 0:
+                raise InternalError(f"free vertex {u} has nonzero dual {y[u]}")
+            continue
+        if mate[v] != u:
+            raise InternalError(f"mate of {u} is {v}, but mate of {v} is {mate[v]}")
+        if not tight[u]:
+            raise InternalError(f"matched edge ({u},{v}) is not tight")
+        if u < v:
+            for bi in chain[u][:shared(u, v)]:
+                nmatched_in[bi] += 1
     for bi, (members, zb) in enumerate(cert.blossoms):
         if zb > 0 and 2 * nmatched_in[bi] + 1 != len(members):
             raise InternalError("blossom with positive dual is not near-perfectly matched")
@@ -505,53 +536,57 @@ def maximum_weight_perfect_matching(
     n: int,
     edges: list[tuple[int, int, int]],
     *,
+    required: list[bool] | None = None,
     verify: bool = True,
 ) -> tuple[list[int], int, MatchingCertificate]:
-    """Maximum weight perfect matching of a general graph.
+    """Maximum weight matching of a general graph that covers every
+    required vertex (by default every vertex: a perfect matching).
 
     ``edges`` are (u, v, w) with integer weights of any sign; parallel
     edges are allowed (only a maximum-weight representative of each pair,
     the lowest id among equals, can ever be used).  Vertices are 0-based.
+    ``required[v]`` False lets v stay free.
 
     Returns (mate, total_weight, certificate) where mate[v] is the partner
-    of v.  Raises InfeasibleError if the graph has no perfect matching and
-    InstanceTooLargeError above MAX_ENGINE_VERTICES.
+    of v or -1.  Raises InfeasibleError if no matching covers every
+    required vertex and InstanceTooLargeError above MAX_ENGINE_VERTICES.
     """
-    if n % 2 != 0:
-        raise InfeasibleError("odd number of vertices; no perfect matching exists")
     if n == 0:
-        return [], 0, MatchingCertificate([], [], 0)
+        return [], 0, MatchingCertificate([], [], 0, [])
     if n > MAX_ENGINE_VERTICES:
         raise InstanceTooLargeError(
             f"matching engine gated at {MAX_ENGINE_VERTICES} vertices, got {n}"
         )
+    req = [True] * n if required is None else list(required)
 
     w_abs_max = max((abs(w) for (_, _, w) in edges), default=0)
-    # Shift weights so every real edge is strictly positive and one extra
-    # matched edge always beats any redistribution of weight: this makes
-    # the maximum weight matching a maximum cardinality one.
+    # Each covered required vertex earns a bonus larger than any
+    # redistribution of weight, so a maximum weight matching of the
+    # shifted weights covers as many required vertices as possible.
     shift = (n + 1) * (w_abs_max + 1) + 1
 
     best_eid: dict[tuple[int, int], int] = {}
     for eid, (u, v, w) in enumerate(edges):
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise InternalError(f"bad engine edge ({u},{v})")
+        if w + shift * (req[u] + req[v]) <= 0:
+            # Joins two optional vertices and can only lower the weight.
+            continue
         key = (u, v) if u < v else (v, u)
         cur = best_eid.get(key)
         if cur is None or w > edges[cur][2]:
             best_eid[key] = eid
-    if not best_eid:
-        raise InfeasibleError("graph has no perfect matching")
     endpoint: list[int] = []
     wt2: list[int] = []
     for (u, v), eid in best_eid.items():
         endpoint.append(u)
         endpoint.append(v)
-        wt2.append(2 * (edges[eid][2] + shift))
+        wt2.append(2 * (edges[eid][2] + shift * (req[u] + req[v])))
 
     mate, dual, childs = _solve(n, endpoint, wt2)
-    if -1 in mate:
-        raise InfeasibleError("graph has no perfect matching")
+    for v in range(n):
+        if req[v] and mate[v] == -1:
+            raise InfeasibleError(f"no matching covers required vertex {v}")
 
     total = sum(edges[best_eid[(v, mate[v])]][2] for v in range(n) if mate[v] > v)
 
@@ -567,7 +602,7 @@ def maximum_weight_perfect_matching(
                 else:
                     stack.extend(childs[x])
             blossoms.append((sorted(members), 2 * dual[b]))
-    cert = MatchingCertificate(vertex_dual=dual[:n], blossoms=blossoms, shift=shift)
+    cert = MatchingCertificate(dual[:n], blossoms, shift, req)
     if verify:
         verify_optimum(n, edges, mate, cert)
     return mate, total, cert

@@ -2,21 +2,22 @@
 
 A subset M of edges is an (l,b)-matching when every vertex v is incident
 to between lower[v] and upper[v] of its edges.  Minimum/maximum weight
-and minimum cardinality solves all reduce to one maximum weight perfect
-matching through a two-stage expansion:
+and minimum cardinality solves all reduce to one maximum weight matching
+that must cover a *required* set of vertices.  After edges at
+zero-capacity vertices are dropped, a vertex v of degree d with interval
+[l, u] is split once:
 
-* the instance is doubled, the two copies of each vertex joined by
-  upper-lower length-3 paths whose middle edge weighs 2W and outer edges
-  W (W = the largest weight magnitude), turning intervals into exact
-  degrees;
-* each vertex of the doubled graph is split into one external vertex per
-  incident edge plus degree-minus-bound internal vertices joined to all
-  externals by weight-2W edges, turning exact degrees into a perfect
-  matching instance.
+* every edge becomes an edge between two externals, one per edge end,
+  carrying the edge's weight;
+* a vertex with l = 0 and u = d is left unsplit: its externals are
+  optional, so any subset of its edges may be chosen;
+* any other vertex gets d - u required and u - l optional internals,
+  each joined to all of its externals by weight-0 edges, and its
+  externals become required.  Each external not matched along its edge
+  takes an internal, so between d - u and d - l edges stay unchosen.
 
-Cardinality objectives ride on the same chain with unit weights; minimum
-cardinality additionally uses the standard auxiliary-vertex complement
-construction so a maximum cardinality solve answers it.
+The matching instance has at most 4m - sum(l) vertices.  Cardinality
+objectives ride on the same split with unit weights.
 """
 
 from __future__ import annotations
@@ -32,18 +33,14 @@ from .errors import InfeasibleError, InstanceTooLargeError, InternalError
 from .gadgets import AuxiliaryInstance
 from .graph import ORIGINAL, CapacityVector, MultiGraph
 
-AUX_TAG = "aux"
-CARRY_TAG = "carry"
-
 
 @dataclass
 class ExpandedInstance:
-    """Size record of the doubled and split graphs (diagnostics only)."""
+    """Size record of the reduction (diagnostics only): the interval
+    instance after clamping (star) and the matching instance (hat)."""
 
-    weight_bound: int
     star_vertices: int
     star_edges: int
-    added_paths: int
     hat_vertices: int
     hat_edges: int
 
@@ -83,7 +80,7 @@ def solve_lb(
     maximize: bool,
     verify: bool = True,
 ) -> LbMatching:
-    """Optimal-weight (l,b)-matching via the expansion chain.
+    """Optimal-weight (l,b)-matching via the single-copy split.
 
     ``weights`` may be any integers (they override the multigraph's own
     edge weights, which lets callers apply objective transforms).  Raises
@@ -92,7 +89,6 @@ def solve_lb(
     lower, upper = _normalize(mg, cap)
     sign = 1 if maximize else -1
     w_eff = [sign * w for w in weights]
-    big = max((abs(w) for w in w_eff), default=0)
 
     # Edges at a zero-capacity vertex can never be matched; dropping them
     # lowers effective degrees, which may cascade into further clamping.
@@ -120,100 +116,52 @@ def solve_lb(
         if not changed:
             break
 
-    # --- doubled graph: vertices become (copy, v); paths add two centrals.
-    star_id: dict[tuple, int] = {}
-
-    def sid(key: tuple) -> int:
-        if key not in star_id:
-            star_id[key] = len(star_id)
-        return star_id[key]
-
-    star_edges: list[tuple[int, int, int, tuple]] = []
-    for copy in (0, 1):
-        for eid, e in enumerate(mg.edges):
-            if not keep[eid]:
-                continue
-            star_edges.append(
-                (sid((copy, e.u)), sid((copy, e.v)), w_eff[eid], ("copy", copy, eid))
-            )
-    n_paths = 0
-    for v in range(mg.n):
-        for j in range(upper[v] - lower[v]):
-            x = sid(("path", v, j, 0))
-            y = sid(("path", v, j, 1))
-            star_edges.append((sid((0, v)), x, big, ("outer", v, j, 0)))
-            star_edges.append((x, y, 2 * big, ("middle", v, j)))
-            star_edges.append((y, sid((1, v)), big, ("outer", v, j, 1)))
-            n_paths += 1
-
-    n_star = len(star_id)
-    bound = [0] * n_star
-    for key, x in star_id.items():
-        bound[x] = upper[key[1]] if key[0] in (0, 1) else 1
-    star_deg = [0] * n_star
-    for (x, y, _, _) in star_edges:
-        star_deg[x] += 1
-        star_deg[y] += 1
-
-    # --- split graph: externals per edge slot, internals per slack unit.
-    n_internal = [star_deg[x] - bound[x] for x in range(n_star)]
-    for x in range(n_star):
-        if n_internal[x] < 0:
-            raise InfeasibleError(
-                f"exact degree {bound[x]} unreachable at an expansion vertex"
-            )
-    size = 2 * len(star_edges) + sum(n_internal)
+    # --- split: one external per edge end, internals absorb the slack.
+    kept = [eid for eid in range(mg.m) if keep[eid]]
+    split = [lower[v] > 0 or upper[v] < deg_eff[v] for v in range(mg.n)]
+    size = 2 * len(kept) + sum(deg_eff[v] - lower[v] for v in range(mg.n) if split[v])
     if size > MAX_ENGINE_VERTICES:
         raise InstanceTooLargeError(
             f"lb expansion needs {size} matching vertices "
-            f"({n_star} doubled vertices, {len(star_edges)} doubled edges); "
+            f"({mg.n} vertices, {len(kept)} edges); "
             f"the matching engine is gated at {MAX_ENGINE_VERTICES}"
         )
-    n_hat = 0
-    ext_of_vertex: list[list[int]] = [[] for _ in range(n_star)]
+    ext_of_vertex: list[list[int]] = [[] for _ in range(mg.n)]
     hat_edges: list[tuple[int, int, int]] = []
-    edge_ext: list[tuple[int, int]] = []
-    for (x, y, w, _) in star_edges:
-        ex = n_hat
-        ey = n_hat + 1
-        n_hat += 2
-        ext_of_vertex[x].append(ex)
-        ext_of_vertex[y].append(ey)
-        edge_ext.append((ex, ey))
-        hat_edges.append((ex, ey, w))
-    for x in range(n_star):
-        for _ in range(n_internal[x]):
-            iv = n_hat
-            n_hat += 1
-            for ev in ext_of_vertex[x]:
-                hat_edges.append((iv, ev, 2 * big))
+    for i, eid in enumerate(kept):
+        e = mg.edges[eid]
+        ext_of_vertex[e.u].append(2 * i)
+        ext_of_vertex[e.v].append(2 * i + 1)
+        hat_edges.append((2 * i, 2 * i + 1, w_eff[eid]))
+    required = [False] * (2 * len(kept))
+    for v in range(mg.n):
+        if not split[v]:
+            continue
+        for x in ext_of_vertex[v]:
+            required[x] = True
+        # An external left off its edge pairs with an internal: the first
+        # deg-upper internals must pair, the other upper-lower may.
+        for j in range(deg_eff[v] - lower[v]):
+            iv = len(required)
+            required.append(j < deg_eff[v] - upper[v])
+            for x in ext_of_vertex[v]:
+                hat_edges.append((iv, x, 0))
+    n_hat = len(required)
 
     expanded = ExpandedInstance(
-        weight_bound=big,
-        star_vertices=n_star,
-        star_edges=len(star_edges),
-        added_paths=n_paths,
+        star_vertices=mg.n,
+        star_edges=len(kept),
         hat_vertices=n_hat,
         hat_edges=len(hat_edges),
     )
 
-    mate, _, cert = maximum_weight_perfect_matching(n_hat, hat_edges, verify=verify)
-
-    picked: list[list[int]] = [[], []]
-    for se, (x, y, w, origin) in enumerate(star_edges):
-        if origin[0] != "copy":
-            continue
-        (ex, ey) = edge_ext[se]
-        if mate[ex] == ey:
-            picked[origin[1]].append(origin[2])
-
-    w0 = sum(w_eff[e] for e in picked[0])
-    w1 = sum(w_eff[e] for e in picked[1])
-    if w0 != w1:
-        raise InternalError("the two expansion copies disagree on the optimum")
+    mate, _, cert = maximum_weight_perfect_matching(
+        n_hat, hat_edges, required=required, verify=verify
+    )
+    picked = [eid for i, eid in enumerate(kept) if mate[2 * i] == 2 * i + 1]
 
     degrees = [0] * mg.n
-    for e in picked[0]:
+    for e in picked:
         degrees[mg.edges[e].u] += 1
         degrees[mg.edges[e].v] += 1
     for v in range(mg.n):
@@ -221,9 +169,9 @@ def solve_lb(
             raise InternalError(f"capacity violated at vertex {v} after expansion solve")
 
     return LbMatching(
-        edge_ids=sorted(picked[0]),
+        edge_ids=picked,
         degrees=degrees,
-        weight=sum(weights[e] for e in picked[0]),
+        weight=sum(weights[e] for e in picked),
         certificate=cert,
         expanded=expanded,
     )
@@ -259,7 +207,6 @@ def solve_min_weight_lb(
     cap: CapacityVector | None = None,
     weights: list[int] | None = None,
     *,
-    tighten: bool = True,
     verify: bool = True,
 ) -> LbMatching:
     """Minimum weight (l,b)-matching, edge-minimal among minimum-weight ones.
@@ -281,9 +228,7 @@ def solve_min_weight_lb(
     scale = mg.m + 1
     lex = [w * scale + 1 for w in weights]
     lower, upper = _normalize(mg, cap)
-    cap_used = CapacityVector(lower, upper)
-    if tighten:
-        cap_used = _tightened_upper(mg, lower, upper, lex)
+    cap_used = _tightened_upper(mg, lower, upper, lex)
     res = solve_lb(mg, cap_used, lex, maximize=False, verify=verify)
     true_weight = sum(weights[e] for e in res.edge_ids)
     return LbMatching(res.edge_ids, res.degrees, true_weight, res.certificate, res.expanded)
@@ -299,41 +244,9 @@ def solve_max_weight_lb(
 def solve_min_cardinality_lb(
     mg: MultiGraph, cap: CapacityVector, *, verify: bool = True
 ) -> LbMatching:
-    """(l,b)-matching with the fewest edges.
-
-    Uses the complement construction: each vertex gains a twin joined by
-    upper-lower parallel edges and must reach degree exactly upper, after
-    which maximum cardinality there is minimum cardinality here.
-    """
-    lower, upper = _normalize(mg, cap)
-    plus = MultiGraph(mg.n)
-    for e in mg.edges:
-        plus.add_edge(e.u, e.v, 1, (CARRY_TAG, len(plus.edges)))
-    twin = {}
-    lo2 = list(upper)
-    up2 = list(upper)
-    for v in range(mg.n):
-        slack = upper[v] - lower[v]
-        w = plus.add_vertex()
-        twin[v] = w
-        lo2.append(0)
-        up2.append(slack)
-        for _ in range(slack):
-            plus.add_edge(v, w, 1, (AUX_TAG, v))
-    res = solve_lb(
-        plus, CapacityVector(lo2, up2), [1] * plus.m, maximize=True, verify=verify
-    )
-    kept = [e for e in res.edge_ids if plus.edges[e].tag[0] == CARRY_TAG]
-    if len(res.edge_ids) != sum(upper) - len(kept):
-        raise InternalError("cardinality complement identity violated")
-    degrees = [0] * mg.n
-    for e in kept:
-        degrees[plus.edges[e].u] += 1
-        degrees[plus.edges[e].v] += 1
-    for v in range(mg.n):
-        if not (lower[v] <= degrees[v] <= upper[v]):
-            raise InternalError("capacity violated after cardinality solve")
-    return LbMatching(sorted(kept), degrees, len(kept), res.certificate, res.expanded)
+    """(l,b)-matching with the fewest edges: a minimum weight solve with
+    unit weights."""
+    return solve_lb(mg, cap, [1] * mg.m, maximize=False, verify=verify)
 
 
 def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:

@@ -14,33 +14,17 @@ from . import detect as _detect
 from . import lb as _lb
 from . import recover as _recover
 from .detect import DENSE, ForbiddenSubgraph
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .gadgets import build_auxiliary, gadget_stats
 from .graph import Graph
 from .potentials import PotentialFunction, extract_potential, unit_potentials
 from .recover import SolveResult, attach_records
 from .variant import Variant
 
-# Guard from the engine contract: lexicographic weights must fit well
-# inside 64-bit arithmetic including the expansion's own shifts.
-MAX_WEIGHT_PRODUCT_BITS = 63
-
-
 def validate_instance(g: Graph, variant: Variant) -> None:
-    """Degree bound, weight bound and variant parameter checks."""
+    """Variant parameter checks (the graph checks its own degree bound;
+    weights need no bound, as all arithmetic is in exact integers)."""
     variant.validate(g.t)
-    w_max = max((w for (_, _, w) in g.edges), default=0)
-    # The tie-break transform scales weights by m+1 and the engine shifts
-    # them again by a factor of the expanded instance size; keep enough
-    # headroom that all dual arithmetic stays inside 63-bit integers.
-    if w_max and (
-        2 * w_max * (g.m + 2) * (g.m + 2) >= (1 << MAX_WEIGHT_PRODUCT_BITS)
-        or 2 * w_max * (g.m + 2) >= (1 << 34)
-    ):
-        raise ValidationError(
-            "edge weights too large: the exact tie-break transform would "
-            "overflow 63-bit matching arithmetic"
-        )
 
 
 def is_unweighted(g: Graph) -> bool:

@@ -45,6 +45,32 @@ def brute_force_perfect(n, edges):
     return out[0]
 
 
+def brute_force_covering(n, edges, required):
+    """Maximum weight of a matching covering every required vertex, or None."""
+    best = {}
+    for (u, v, w) in edges:
+        key = (min(u, v), max(u, v))
+        if key not in best or w > best[key]:
+            best[key] = w
+
+    out = [None]
+
+    def rec(rem, tot):
+        if not rem:
+            if out[0] is None or tot > out[0]:
+                out[0] = tot
+            return
+        v = min(rem)
+        if not required[v]:
+            rec(rem - {v}, tot)
+        for u in rem:
+            if u != v and (v, u) in best:
+                rec(rem - {v, u}, tot + best[(v, u)])
+
+    rec(frozenset(range(n)), 0)
+    return out[0]
+
+
 def test_four_cycle():
     edges = [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)]
     mate, w, _ = maximum_weight_perfect_matching(4, edges)
@@ -101,6 +127,25 @@ def test_randomized_against_bruteforce():
         assert got == want
 
 
+def test_required_masks_against_bruteforce():
+    rng = random.Random(777)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        required = [rng.random() < 0.5 for _ in range(n)]
+        edges = []
+        for (u, v) in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                edges.append((u, v, rng.randint(-25, 25)))
+        want = brute_force_covering(n, edges, required)
+        try:
+            mate, got, _ = maximum_weight_perfect_matching(n, edges, required=required)
+        except InfeasibleError:
+            got = None
+        else:
+            assert all(mate[v] != -1 for v in range(n) if required[v])
+        assert got == want
+
+
 def test_certificate_rejects_tampering():
     edges = [(0, 1, 3), (1, 2, 4), (2, 3, 3), (0, 3, 4), (0, 2, 10)]
     mate, w, cert = maximum_weight_perfect_matching(4, edges)
@@ -110,6 +155,25 @@ def test_certificate_rejects_tampering():
         shift=cert.shift,
     )
     with pytest.raises(InternalError):
+        verify_optimum(4, edges, mate, bad)
+
+
+def test_certificate_rejects_dual_on_free_vertex():
+    edges = [(0, 1, 5), (1, 2, 3)]
+    mate, w, cert = maximum_weight_perfect_matching(3, edges, required=[False] * 3)
+    assert w == 5 and mate[2] == -1
+    raised = list(cert.vertex_dual)
+    raised[2] += 2
+    bad = MatchingCertificate(raised, cert.blossoms, cert.shift, cert.required)
+    with pytest.raises(InternalError, match="free vertex"):
+        verify_optimum(3, edges, mate, bad)
+
+
+def test_certificate_rejects_crossing_blossoms():
+    edges = [(0, 1, 1), (2, 3, 1)]
+    mate, _, cert = maximum_weight_perfect_matching(4, edges)
+    bad = MatchingCertificate(cert.vertex_dual, [([0, 1, 2], 0), ([1, 2, 3], 0)], cert.shift)
+    with pytest.raises(InternalError, match="laminar"):
         verify_optimum(4, edges, mate, bad)
 
 
@@ -190,3 +254,21 @@ def test_differential_against_networkx():
         sets = [set(members) for (members, _) in cert.blossoms]
         nested_seen |= any(a < b for a in sets for b in sets)
     assert nested_seen
+
+
+def test_all_optional_against_networkx():
+    rng = random.Random(31)
+    for n in (100, 250, 500):
+        edges = _differential_instance(rng, n)
+        mate, total, cert = maximum_weight_perfect_matching(
+            n, edges, required=[False] * n
+        )
+        g = networkx.Graph()
+        g.add_nodes_from(range(n))
+        for (u, v, w) in edges:
+            if not g.has_edge(u, v) or g[u][v]["weight"] < w:
+                g.add_edge(u, v, weight=w)
+        ref = networkx.max_weight_matching(g, maxcardinality=False)
+        assert total == sum(g[u][v]["weight"] for (u, v) in ref)
+        assert -1 in mate
+        verify_optimum(n, edges, mate, cert)

@@ -108,6 +108,49 @@ def test_randomized_against_bruteforce():
     assert checked > 100
 
 
+def test_mixed_intervals_against_bruteforce():
+    # Unsplit [0, d] vertices, [1, d] covers and exact degrees side by side.
+    rng = random.Random(5150)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        mg = MultiGraph(n)
+        weights = []
+        for _ in range(rng.randint(1, 12)):
+            u, v = rng.sample(range(n), 2)
+            w = rng.randint(-10, 20)
+            mg.add_edge(u, v, w, ("orig", mg.m))
+            weights.append(w)
+        lower, upper = [], []
+        for v in range(n):
+            d = mg.degree(v)
+            kind = rng.choice(["free", "cover", "exact"])
+            if kind == "free":
+                lower.append(0)
+                upper.append(d)
+            elif kind == "cover":
+                lower.append(min(1, d))
+                upper.append(d)
+            else:
+                b = rng.randint(0, d)
+                lower.append(b)
+                upper.append(b)
+        cap = CapacityVector(lower, upper)
+        try:
+            want_w, want_k, want_card = brute_force_lb(mg, cap, weights)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_min_weight_lb(mg, cap, weights)
+            continue
+        res = solve_min_weight_lb(mg, cap, weights)
+        assert (res.weight, res.cardinality) == (want_w, want_k)
+        assert solve_min_cardinality_lb(mg, cap).cardinality == want_card
+        best_max, _, _ = brute_force_lb(mg, cap, [-w for w in weights])
+        assert solve_lb(mg, cap, weights, maximize=True).weight == -best_max
+        checked += 1
+    assert checked > 80
+
+
 def test_capped_cardinality_matches_uncapped():
     from tmatch.gadgets import build_auxiliary
     from tmatch.generators import plant_forbidden
@@ -129,17 +172,28 @@ def test_capped_cardinality_matches_uncapped():
 
 
 def test_expansion_shape_matches_construction():
+    # Vertices 0 and 2 have [0, deg] and stay unsplit; vertex 1 has [1, 2]
+    # at degree 2, so it gets one optional internal and no required one.
     mg = mg_from(3, [(0, 1, 4), (1, 2, 1)])
     cap = CapacityVector([0, 1, 0], [1, 2, 1])
     res = solve_lb(mg, cap, [4, 1], maximize=True)
     ex = res.expanded
-    # two copies of 3 active vertices plus two centrals per added path
-    paths = sum(
-        min(cap.upper[v], mg.degree(v)) - cap.lower[v] for v in range(3)
-    )
-    assert ex.added_paths == paths
-    assert ex.star_vertices == 6 + 2 * paths
-    assert ex.star_edges == 2 * mg.m + 3 * paths
+    assert (ex.star_vertices, ex.star_edges) == (3, 2)
+    assert ex.hat_vertices == 2 * 2 + 1
+    assert ex.hat_edges == 2 + 1 * 2
+    assert res.edge_ids == [0, 1]
+
+    # Vertex 1 has upper 0, which drops its two edges.  What is left is
+    # exact at 0 ([2, 2]: no internal), [1, 2] at 2 (one optional) and
+    # [0, 1] at 3 (one required, one optional), 4m' - sum(l) in all.
+    mg = mg_from(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)])
+    cap = CapacityVector([2, 0, 1, 0], [2, 0, 3, 1])
+    res = solve_lb(mg, cap, [1] * 5, maximize=False)
+    ex = res.expanded
+    assert (ex.star_vertices, ex.star_edges) == (4, 3)
+    assert ex.hat_vertices == 4 * 3 - 3
+    assert ex.hat_edges == 3 + 1 * 2 + 2 * 2
+    assert res.edge_ids == [1, 2]
 
 
 def test_size_gate_fires_before_expansion(monkeypatch):
@@ -147,7 +201,8 @@ def test_size_gate_fires_before_expansion(monkeypatch):
         raise AssertionError("the engine must not see an oversize expansion")
 
     monkeypatch.setattr(tmatch.lb, "maximum_weight_perfect_matching", engine)
-    k = MAX_ENGINE_VERTICES // 4 + 1
+    # Two exact-degree vertices: two externals per edge and no internal.
+    k = MAX_ENGINE_VERTICES // 2 + 1
     mg = mg_from(2, [(0, 1, 1)] * k)
     with pytest.raises(InstanceTooLargeError, match="lb expansion"):
         solve_lb(mg, CapacityVector([k, k], [k, k]), [1] * k, maximize=True)
