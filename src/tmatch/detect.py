@@ -9,8 +9,13 @@ problematic (needs a gadget) or unproblematic (coverable by local repair).
 The driver follows a peel-and-probe strategy: vertices that cannot lie in
 any forbidden subgraph are discarded after O(t) work, and every successful
 find removes a Theta(t)-sized vertex set, so total work stays linear in the
-number of edges for fixed t.  A work counter is maintained so tests can
-assert the linear scaling.
+number of edges for fixed t.  Vertices of residual degree below t are
+peeled from a worklist of the vertices whose degree dropped, never by a
+scan of the whole graph, so all peeling together costs O(n + m).
+
+``DetectionStats.probe_ops`` meters the work so tests can assert the
+linear scaling: every adjacency list read, every adjacency test, and every
+vertex the peeling pops from its worklist or deletes (with its list).
 """
 
 from __future__ import annotations
@@ -90,12 +95,19 @@ class DetectionStats:
 
 
 class _Residual:
-    """Graph view with vertex deletion, degree tracking and a work meter."""
+    """Graph view with vertex deletion, degree tracking and a work meter.
+
+    ``dirty`` holds every vertex whose residual degree may have dropped
+    below the stripping threshold since the last strip (initially all of
+    them), so a strip drains it instead of scanning the whole graph.  This
+    needs the same threshold on every strip of one residual graph.
+    """
 
     def __init__(self, g: Graph, stats: DetectionStats):
         self.g = g
         self.alive = [True] * g.n
         self.deg = [g.degree(v) for v in range(g.n)]
+        self.dirty = list(range(g.n))
         self.stats = stats
 
     def neighbors(self, v: int) -> list[int]:
@@ -117,16 +129,21 @@ class _Residual:
         for (u, _) in self.g.adj[v]:
             if self.alive[u]:
                 self.deg[u] -= 1
+                self.dirty.append(u)
 
     def strip_low_degree(self, t: int) -> None:
         """Iteratively delete vertices of degree below t; they are in no
-        t-regular forbidden subgraph."""
-        work = [v for v in range(self.g.n) if self.alive[v] and self.deg[v] < t]
+        t-regular forbidden subgraph.  What survives is the t-core of the
+        residual graph, which is unique, so the order of deletion does not
+        matter (Batagelj and Zaversnik's worklist peeling)."""
+        work = self.dirty
         while work:
             v = work.pop()
+            self.stats.probe_ops += 1
             if not self.alive[v] or self.deg[v] >= t:
                 continue
             self.alive[v] = False
+            self.stats.probe_ops += len(self.g.adj[v])
             for (u, _) in self.g.adj[v]:
                 if self.alive[u]:
                     self.deg[u] -= 1
@@ -294,62 +311,49 @@ def _partite_q2_at_vertex(R: _Residual, p: int, v: int) -> list[tuple]:
     of v, so enumerate candidate cross sets T inside N(v), check that the
     non-adjacency pattern on T is a matching, then extend by a class
     partner for v (a common neighbor of all of T, adjacent to v or not).
+    The adjacencies among N(v) are tested once and each neighbor's list is
+    read once; every candidate T is derived from those.
     """
     t = 2 * (p - 1)
     nbrs = R.neighbors(v)
     if len(nbrs) < t:
         return []
-    if len(nbrs) == t:
-        t_options = [list(nbrs)]
-    else:  # degree t+1: drop one neighbor
-        t_options = [[x for x in nbrs if x != drop] for drop in nbrs]
+    non_adj: dict[int, list[int]] = {x: [] for x in nbrs}
+    for (a, b) in itertools.combinations(nbrs, 2):
+        if not R.adjacent(a, b):
+            non_adj[a].append(b)
+            non_adj[b].append(a)
+    # Degree t: T is all of N(v).  Degree t+1: T drops one neighbor, and
+    # every vertex left with two or more non-neighbors in T rules it out.
+    heavy = [x for x in nbrs if len(non_adj[x]) > 1]
+    options = [
+        drop for drop in ([None] if len(nbrs) == t else nbrs)
+        if all(x == drop or (len(non_adj[x]) == 2 and drop in non_adj[x]) for x in heavy)
+    ]
+    if not options:
+        return []
+    # Class partner of v: adjacent to every vertex of T, distinct from v.
+    nb = {x: R.neighbors(x) for x in nbrs}
+    counts: dict[int, int] = {}
+    for x in nbrs:
+        for y in nb[x]:
+            counts[y] = counts.get(y, 0) + 1
     out = []
-    for T in t_options:
-        non_adj: dict[int, list[int]] = {x: [] for x in T}
-        ok = True
-        for (a, b) in itertools.combinations(T, 2):
-            if not R.adjacent(a, b):
-                non_adj[a].append(b)
-                non_adj[b].append(a)
-                if len(non_adj[a]) > 1 or len(non_adj[b]) > 1:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        forced = [(a, bs[0]) for a, bs in non_adj.items() if bs and a < bs[0]]
-        free = sorted(x for x, bs in non_adj.items() if not bs)
-        # Class partner of v: adjacent to every vertex of T, distinct from v.
-        counts: dict[int, int] = {}
-        for x in T:
-            for y in R.neighbors(x):
-                counts[y] = counts.get(y, 0) + 1
+    for drop in options:
+        T = [x for x in nbrs if x != drop]
+        dropped = set(nb[drop]) if drop is not None else set()
+        forced = [(a, b) for a in T for b in non_adj[a] if a < b and b != drop]
+        free = sorted(x for x in T if all(y == drop for y in non_adj[x]))
+        in_t = set(T)
         partners = sorted(
-            y for (y, c) in counts.items() if c == len(T) and y != v and y not in T
+            y for (y, c) in counts.items()
+            if c - (y in dropped) == t and y != v and y not in in_t
         )
         for v2 in partners:
             for pairing in _pairings(free):
                 classes = [[v, v2]] + [list(e) for e in forced] + [list(e) for e in pairing]
                 verts = tuple(sorted([v, v2] + T))
                 out.append((verts, _canon_classes(classes)))
-    return out
-
-
-def find_kpq_at(g: Graph, v: int, p: int, q: int) -> list[ForbiddenSubgraph]:
-    """All K^p_q's of ``g`` containing vertex ``v`` (public, fresh residual).
-
-    Dispatches on shape: q = 1 uses the clique probe, q = 2 the
-    matching-complement probe, q >= 3 (including bicliques, p = 2) the
-    common-neighborhood pool with forced classes.
-    """
-    stats = DetectionStats()
-    R = _Residual(g, stats)
-    found = _find_at(R, v, p, q)
-    out = []
-    for (verts, classes) in sorted(set(found)):
-        kind = _kind_for_shape(p, q)
-        out.append(
-            ForbiddenSubgraph(kind, verts, classes, _subgraph_weight(g, verts, classes, kind))
-        )
     return out
 
 
@@ -372,16 +376,12 @@ def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
     return _partite_q3_at_vertex(R, p, q, v)
 
 
-def find_partner(g_or_R, v: int, p: int, q: int):
+def find_partner(R: _Residual, v: int, p: int, q: int):
     """Cheap probe: either certify that v is in no K^p_q, or name a vertex
     with at least max(p-2, 1)*q common neighbors with v.
 
     Returns None (no subgraph can contain v) or a partner vertex.
     """
-    if isinstance(g_or_R, Graph):
-        R = _Residual(g_or_R, DetectionStats())
-    else:
-        R = g_or_R
     R.stats.partner_probes += 1
     need = max(p - 2, 1) * q
     nbrs = R.neighbors(v)
@@ -439,7 +439,10 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats):
             qi += 1
             continue
         base = hits[0]
-        cluster = hits + _cluster_of(R, base[0], p, q)
+        # The residual graph is unchanged since v1 and v2 were searched, so
+        # their hits stand; search only the rest of the base subgraph.
+        rest = [x for x in base[0] if x != v1 and x != v2]
+        cluster = hits + _cluster_of(R, rest, p, q)
         ids = sorted({emit(rec) for rec in cluster})
         for i, a in enumerate(ids):
             va = set(ordered[a][0])

@@ -192,7 +192,6 @@ def build_auxiliary(
         else:
             raise InternalError(f"cannot build a gadget for kind {r.kind}")
         gadgets.append(info)
-        _check_half_edge_weights(g, r, pf)
 
     cap = CapacityVector(lower, upper)
     return AuxiliaryInstance(mg, cap, gadgets, g, skipped)
@@ -207,25 +206,6 @@ def _outside_classes(
         if any(x in core for x in c):
             raise InternalError("member class straddles the dense core")
     return outside
-
-
-def _check_half_edge_weights(g: Graph, r: ForbiddenSubgraph, pf: PotentialFunction) -> None:
-    # The half-edge pair replacing an original edge must weigh the same.
-    if r.kind == DENSE:
-        pairs = [
-            (u, v)
-            for i, u in enumerate(r.vertices)
-            for v in r.vertices[i + 1:]
-            if g.has_edge(u, v)
-        ]
-    else:
-        pairs = r.edge_pairs()
-    for (u, v) in pairs:
-        eid = g.edge_id(u, v)
-        if pf.value(u) + pf.value(v) != g.weight_doubled(eid):
-            raise InternalError(
-                f"half-edge weights at ({u},{v}) do not reproduce the edge weight"
-            )
 
 
 def gadget_stats(aux: AuxiliaryInstance) -> dict[str, int]:

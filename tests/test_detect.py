@@ -8,10 +8,15 @@ from tmatch.detect import (
     CLIQUE,
     DENSE,
     PARTITE,
+    DetectionStats,
+    ForbiddenSubgraph,
+    _find_at,
+    _kind_for_shape,
+    _Residual,
+    _subgraph_weight,
     classify_problematic,
     find_all_forbidden,
     find_dense,
-    find_kpq_at,
     find_partner,
 )
 from tmatch.errors import InternalError
@@ -32,22 +37,69 @@ def detected_set(g, variant):
     return sorted(r.key() for r in records), records, inter
 
 
+def residual(g):
+    return _Residual(g, DetectionStats())
+
+
+def find_kpq_at(g, v, p, q):
+    """All K^p_q's of ``g`` containing vertex ``v``, probed on a fresh
+    residual graph: the exhaustive reference for the sweep."""
+    kind = _kind_for_shape(p, q)
+    return [
+        ForbiddenSubgraph(kind, verts, classes, _subgraph_weight(g, verts, classes, kind))
+        for (verts, classes) in sorted(set(_find_at(residual(g), v, p, q)))
+    ]
+
+
+def t_core(g, removed, t):
+    """Vertices of the t-core of g minus ``removed``, peeled naively."""
+    alive = set(range(g.n)) - set(removed)
+    while True:
+        low = [v for v in alive if sum(u in alive for u in g.neighbors(v)) < t]
+        if not low:
+            return alive
+        alive -= set(low)
+
+
+# --- _Residual --------------------------------------------------------------
+
+
+def test_strip_keeps_the_t_core_under_random_removals():
+    rng = random.Random(41)
+    for trial in range(60):
+        t = rng.choice([3, 4, 6])
+        g = random_bounded(rng.randint(1, 60), t, rng.uniform(0.3, 0.95), trial)
+        R = residual(g)
+        R.strip_low_degree(t)
+        removed = []
+        assert {v for v in range(g.n) if R.alive[v]} == t_core(g, removed, t)
+        for _ in range(rng.randint(1, 8)):
+            for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 3))):
+                R.remove(v)
+                removed.append(v)
+            R.strip_low_degree(t)
+            alive = {v for v in range(g.n) if R.alive[v]}
+            assert alive == t_core(g, removed, t), (trial, removed)
+            for v in alive:
+                assert R.deg[v] == sum(u in alive for u in g.neighbors(v))
+
+
 # --- find_partner ----------------------------------------------------------
 
 
 def test_partner_cycle_none():
     g = cycle(5)
-    assert find_partner(g, 0, 4, 1) is None
+    assert find_partner(residual(g), 0, 4, 1) is None
 
 
 def test_partner_k4(k4):
-    z = find_partner(k4, 0, 4, 1)
+    z = find_partner(residual(k4), 0, 4, 1)
     assert z is not None
     assert len(set(k4.neighbors(0)) & set(k4.neighbors(z))) >= 2
 
 
 def test_partner_k33(k33):
-    z = find_partner(k33, 0, 2, 3)
+    z = find_partner(residual(k33), 0, 2, 3)
     assert z is not None
     assert len(set(k33.neighbors(0)) & set(k33.neighbors(z))) >= 3
 
@@ -254,6 +306,23 @@ def test_classify_weight_tie_both_unproblematic():
     assert not any(r.problematic for r in records)
 
 
+def assert_driver_matches_probing(g, var):
+    records, inter, _ = find_all_forbidden(g, var)
+    got = sorted(r.key() for r in records)
+    want = set()
+    for (pp, qq) in var.shapes(g.t):
+        for v in range(g.n):
+            for r in find_kpq_at(g, v, pp, qq):
+                want.add(r.key())
+    assert got == sorted(want)
+    pairs = {
+        (min(a.id, b.id), max(a.id, b.id))
+        for a, b in itertools.combinations(records, 2)
+        if set(a.vertices) & set(b.vertices)
+    }
+    assert pairs == inter.pairs
+
+
 def test_driver_matches_exhaustive_probing_midscale():
     # The sweep's removal and clustering logic must agree with probing
     # every vertex on graphs far beyond the brute-force oracle's reach.
@@ -267,20 +336,19 @@ def test_driver_matches_exhaustive_probing_midscale():
         ]:
             g = random_bounded(n, t, rng.uniform(0.4, 0.8), seed * 3 + t)
             g = plant_forbidden(g, plant, rng.randint(1, 3), seed, p=p, q=q)
-            records, inter, _ = find_all_forbidden(g, var)
-            got = sorted(r.key() for r in records)
-            want = set()
-            for (pp, qq) in var.shapes(g.t):
-                for v in range(g.n):
-                    for r in find_kpq_at(g, v, pp, qq):
-                        want.add(r.key())
-            assert got == sorted(want)
-            pairs = {
-                (min(a.id, b.id), max(a.id, b.id))
-                for a, b in itertools.combinations(records, 2)
-                if set(a.vertices) & set(b.vertices)
-            }
-            assert pairs == inter.pairs
+            assert_driver_matches_probing(g, var)
+    # The other two shapes the detection benchmark plants, drawn from a
+    # stream of their own so the graphs above stay as they were.
+    rng = random.Random(29)
+    for seed in range(4):
+        n = rng.randint(150, 300)
+        for (t, var, plant) in [
+            (3, Variant.restricted(), "biclique"),
+            (4, Variant.kpq(5, 1), "clique_pair"),
+        ]:
+            g = random_bounded(n, t, rng.uniform(0.4, 0.8), seed * 3 + t)
+            g = plant_forbidden(g, plant, rng.randint(1, 3), seed)
+            assert_driver_matches_probing(g, var)
 
 
 def test_classify_weight_order_keeps_heavier():
