@@ -537,7 +537,6 @@ def maximum_weight_perfect_matching(
     edges: list[tuple[int, int, int]],
     *,
     required: list[bool] | None = None,
-    verify: bool = True,
 ) -> tuple[list[int], int, MatchingCertificate]:
     """Maximum weight matching of a general graph that covers every
     required vertex (by default every vertex: a perfect matching).
@@ -603,6 +602,5 @@ def maximum_weight_perfect_matching(
                     stack.extend(childs[x])
             blossoms.append((sorted(members), 2 * dual[b]))
     cert = MatchingCertificate(dual[:n], blossoms, shift, req)
-    if verify:
-        verify_optimum(n, edges, mate, cert)
+    verify_optimum(n, edges, mate, cert)
     return mate, total, cert

@@ -14,8 +14,9 @@ Instance file format (text, ``#`` comments allowed):
   integer weight; if any weight is omitted the instance is unweighted
   (all weights one).
 
-Exit codes: 0 success, 2 malformed input, 3 degree/weight violation,
-4 weights not vertex-induced on a forbidden subgraph, 5 oracle mismatch.
+Exit codes: 0 success, 1 internal error, 2 malformed input, 3 degree-bound
+violation or oversize instance, 4 weights not vertex-induced on a forbidden
+subgraph, 5 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def _read_instance(path: str) -> tuple[Graph, Variant, bool]:
         parts = raw[1].split()
         if len(parts) != 2:
             raise InputFormatError("second line must be: p q")
-        variant = Variant.kpq(int(parts[0]), int(parts[1]))
+        try:
+            variant = Variant.kpq(int(parts[0]), int(parts[1]))
+        except ValueError as ex:
+            raise InputFormatError(f"bad p q line: {ex}") from ex
         idx = 2
     else:
         raise InputFormatError(f"unknown variant {vname!r}")

@@ -90,8 +90,6 @@ class DetectionStats:
     """Instrumentation for the linear-time budget assertion."""
 
     probe_ops: int = 0
-    partner_probes: int = 0
-    local_searches: int = 0
 
 
 class _Residual:
@@ -366,7 +364,6 @@ def _kind_for_shape(p: int, q: int) -> str:
 
 
 def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
-    R.stats.local_searches += 1
     if not R.alive[v]:
         return []
     if q == 1:
@@ -382,7 +379,6 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
 
     Returns None (no subgraph can contain v) or a partner vertex.
     """
-    R.stats.partner_probes += 1
     need = max(p - 2, 1) * q
     nbrs = R.neighbors(v)
     for u in nbrs[:2]:

@@ -29,7 +29,8 @@ class InfeasibleError(TmatchError):
 
 
 class InstanceTooLargeError(TmatchError):
-    """Instance exceeds a hard size gate of a brute-force or dense solver."""
+    """Instance exceeds a hard size gate of the brute-force oracle or the
+    matching engine."""
 
 
 class InternalError(TmatchError):

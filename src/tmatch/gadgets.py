@@ -43,12 +43,17 @@ class GadgetInfo:
 
 @dataclass
 class AuxiliaryInstance:
-    """The auxiliary multigraph with capacities and gadget provenance."""
+    """The auxiliary multigraph with capacities and gadget provenance.
+
+    ``records`` is the classified detection output it was built from; a
+    record's id is its index there.
+    """
 
     graph: MultiGraph
     capacities: CapacityVector
     gadgets: list[GadgetInfo]
     original: Graph
+    records: list[ForbiddenSubgraph]
     # Dense clusters left without a gadget (negative center potential),
     # as (record id, center vertex) pairs.
     skipped_dense: list[tuple[int, int]] = field(default_factory=list)
@@ -194,7 +199,7 @@ def build_auxiliary(
         gadgets.append(info)
 
     cap = CapacityVector(lower, upper)
-    return AuxiliaryInstance(mg, cap, gadgets, g, skipped)
+    return AuxiliaryInstance(mg, cap, gadgets, g, records, skipped)
 
 
 def _outside_classes(

@@ -11,8 +11,8 @@ of a triangle with odd weight sums) remain machine integers everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputFormatError, ValidationError
 
@@ -103,14 +103,6 @@ class Graph:
     def total_weight_doubled(self) -> int:
         return sum(w for (_, _, w) in self.edges)
 
-    def input_weights(self) -> list[int]:
-        """Weights in input units (each stored weight halved)."""
-        return [w // 2 for (_, _, w) in self.edges]
-
-    def check_range(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InputFormatError(f"vertex {v} out of range [0, {self.n})")
-
 
 @dataclass(frozen=True)
 class MEdge:
@@ -177,84 +169,3 @@ class CapacityVector:
         for v, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if lo < 0 or hi < lo:
                 raise InputFormatError(f"bad capacity interval [{lo},{hi}] at vertex {v}")
-
-    def normalized(self, degrees: Sequence[int]) -> "CapacityVector":
-        """Clamp upper bounds to vertex degrees; reject unreachable lower bounds."""
-        lo = list(self.lower)
-        hi = [min(h, d) for (h, d) in zip(self.upper, degrees)]
-        for v in range(len(lo)):
-            if lo[v] > hi[v]:
-                raise ValidationError(
-                    f"vertex {v} needs at least {lo[v]} incident edges but only "
-                    f"{hi[v]} are available"
-                )
-        return CapacityVector(lo, hi)
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
-    """Vertices adjacent to both u and v.
-
-    Runs in O(deg(u) + deg(v)) by marking, independent of n beyond the
-    one-off scratch allocation.
-    """
-    g.check_range(u)
-    g.check_range(v)
-    if u == v:
-        raise InputFormatError("common_neighbors needs two distinct vertices")
-    mark = set(g.neighbors(u))
-    return {x for x in g.neighbors(v) if x in mark}
-
-
-def induced_complement(g: Graph, a: Iterable[int]) -> list[tuple[int, int]]:
-    """All non-adjacent unordered pairs within the vertex set ``a``.
-
-    Intended for gadget-sized sets only; cost is O(|a| * (t + |a|)).
-    """
-    verts = sorted(set(a))
-    for v in verts:
-        g.check_range(v)
-    out = []
-    for i, u in enumerate(verts):
-        nbrs = set(g.neighbors(u))
-        for v in verts[i + 1:]:
-            if v not in nbrs:
-                out.append((u, v))
-    return out
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Shape of a complement edge list: empty, star, matching, or other."""
-
-    kind: str  # "empty" | "star" | "matching" | "other"
-    centers: frozenset[int] = field(default_factory=frozenset)
-
-
-def classify_pattern(edges: Sequence[tuple[int, int]], a: Iterable[int]) -> Pattern:
-    """Classify a complement edge list over vertex set ``a``.
-
-    A single edge is reported as a star with both endpoints as valid
-    centers (and it is of course also a matching; star wins so callers
-    probing for clique exclusions see every candidate center).
-    """
-    edges = list(edges)
-    if not edges:
-        return Pattern("empty")
-    if len(edges) == 1:
-        (x, y) = edges[0]
-        return Pattern("star", frozenset((x, y)))
-    # Candidate centers: vertices covering every edge.
-    centers = set(edges[0])
-    for (x, y) in edges[1:]:
-        centers &= {x, y}
-        if not centers:
-            break
-    if centers:
-        return Pattern("star", frozenset(centers))
-    seen: set[int] = set()
-    for (x, y) in edges:
-        if x in seen or y in seen:
-            return Pattern("other")
-        seen.add(x)
-        seen.add(y)
-    return Pattern("matching")

@@ -78,7 +78,6 @@ def solve_lb(
     weights: list[int],
     *,
     maximize: bool,
-    verify: bool = True,
 ) -> LbMatching:
     """Optimal-weight (l,b)-matching via the single-copy split.
 
@@ -155,9 +154,7 @@ def solve_lb(
         hat_edges=len(hat_edges),
     )
 
-    mate, _, cert = maximum_weight_perfect_matching(
-        n_hat, hat_edges, required=required, verify=verify
-    )
+    mate, _, cert = maximum_weight_perfect_matching(n_hat, hat_edges, required=required)
     picked = [eid for i, eid in enumerate(kept) if mate[2 * i] == 2 * i + 1]
 
     degrees = [0] * mg.n
@@ -203,50 +200,26 @@ def _tightened_upper(
 
 
 def solve_min_weight_lb(
-    aux_or_mg,
-    cap: CapacityVector | None = None,
-    weights: list[int] | None = None,
-    *,
-    verify: bool = True,
+    mg: MultiGraph, cap: CapacityVector, weights: list[int]
 ) -> LbMatching:
     """Minimum weight (l,b)-matching, edge-minimal among minimum-weight ones.
 
-    Accepts either an AuxiliaryInstance or an explicit (multigraph,
-    capacities, weights) triple.  The edge-count tie-break is folded into
-    the objective exactly: every weight is scaled by m+1 and one unit is
-    added per edge, so weight order dominates and fewer edges win ties.
+    The edge-count tie-break is folded into the objective exactly: every
+    weight is scaled by m+1 and one unit is added per edge, so weight
+    order dominates and fewer edges win ties.
     """
-    if isinstance(aux_or_mg, AuxiliaryInstance):
-        mg = aux_or_mg.graph
-        cap = aux_or_mg.capacities
-        weights = mg.weights()
-    else:
-        mg = aux_or_mg
-        if cap is None or weights is None:
-            raise InternalError("explicit solve needs capacities and weights")
-
     scale = mg.m + 1
     lex = [w * scale + 1 for w in weights]
-    lower, upper = _normalize(mg, cap)
-    cap_used = _tightened_upper(mg, lower, upper, lex)
-    res = solve_lb(mg, cap_used, lex, maximize=False, verify=verify)
+    cap_used = _tightened_upper(mg, cap.lower, cap.upper, lex)
+    res = solve_lb(mg, cap_used, lex, maximize=False)
     true_weight = sum(weights[e] for e in res.edge_ids)
     return LbMatching(res.edge_ids, res.degrees, true_weight, res.certificate, res.expanded)
 
 
-def solve_max_weight_lb(
-    mg: MultiGraph, cap: CapacityVector, weights: list[int], *, verify: bool = True
-) -> LbMatching:
-    """Maximum weight (l,b)-matching (no edge-count tie-break)."""
-    return solve_lb(mg, cap, weights, maximize=True, verify=verify)
-
-
-def solve_min_cardinality_lb(
-    mg: MultiGraph, cap: CapacityVector, *, verify: bool = True
-) -> LbMatching:
+def solve_min_cardinality_lb(mg: MultiGraph, cap: CapacityVector) -> LbMatching:
     """(l,b)-matching with the fewest edges: a minimum weight solve with
     unit weights."""
-    return solve_lb(mg, cap, [1] * mg.m, maximize=False, verify=verify)
+    return solve_lb(mg, cap, [1] * mg.m, maximize=False)
 
 
 def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
@@ -311,7 +284,7 @@ def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
     return picked
 
 
-def solve_min_cardinality_capped(aux: AuxiliaryInstance, *, verify: bool = True) -> LbMatching:
+def solve_min_cardinality_capped(aux: AuxiliaryInstance) -> LbMatching:
     """Minimum cardinality solve for the unweighted pipeline.
 
     First builds a linear-size feasible matching, then caps every upper
@@ -326,7 +299,7 @@ def solve_min_cardinality_capped(aux: AuxiliaryInstance, *, verify: bool = True)
         deg[mg.edges[e].u] += 1
         deg[mg.edges[e].v] += 1
     capped = CapacityVector(list(aux.capacities.lower), deg)
-    return solve_min_cardinality_lb(mg, capped, verify=verify)
+    return solve_min_cardinality_lb(mg, capped)
 
 
 def count_weight_identity(aux: AuxiliaryInstance, m: LbMatching) -> int:

@@ -18,7 +18,7 @@ from .errors import InternalError
 from .gadgets import build_auxiliary, gadget_stats
 from .graph import Graph
 from .potentials import PotentialFunction, extract_potential, unit_potentials
-from .recover import SolveResult, attach_records
+from .recover import SolveResult
 from .variant import Variant
 
 def validate_instance(g: Graph, variant: Variant) -> None:
@@ -44,6 +44,10 @@ def prepare(g: Graph, variant: Variant):
 
     potentials: dict[int, PotentialFunction] = {}
     for r in records:
+        # A dense member never gets a gadget, and its cluster's check
+        # below covers every edge among the cluster's vertices.
+        if r.in_dense >= 0:
+            continue
         if unweighted:
             potentials[r.id] = unit_potentials(r)
         else:
@@ -68,7 +72,6 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
     unweighted = is_unweighted(g)
 
     aux = build_auxiliary(g, records, potentials)
-    attach_records(aux, records)
 
     diagnostics: list[dict] = []
     if unweighted:
@@ -76,7 +79,7 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
         identity = _lb.count_weight_identity(aux, m)
         diagnostics.append({"rule": "cardinality-track", "count_weight_gap": identity})
     else:
-        m = _lb.solve_min_weight_lb(aux)
+        m = _lb.solve_min_weight_lb(aux.graph, aux.capacities, aux.graph.weights())
 
     aux_weight = sum(aux.graph.edges[e].w for e in m.edge_ids)
     cot = _recover.matching_to_cotmatching(aux, m, diagnostics)

@@ -113,7 +113,7 @@ def matching_to_cotmatching(
         center = info.center
         if a != center:
             raise InternalError("doubled half-edges must sit on the cluster center")
-        core = set(_core_of(aux, info))
+        core = set(aux.records[info.subgraph_id].core)
         inner = [
             eid
             for eid in m.edge_ids
@@ -165,7 +165,7 @@ def _repair_skipped_dense(aux: AuxiliaryInstance, cot: CoTMatching, diags) -> No
     minimum solve covers them anyway.  Re-check, and if a non-minimal
     matching slipped through, split one core edge through the center
     (which strictly lowers the weight)."""
-    records = aux_records(aux)
+    records = aux.records
     g = aux.original
     for (rid, center) in aux.skipped_dense:
         rec = records[rid]
@@ -195,24 +195,6 @@ def _repair_skipped_dense(aux: AuxiliaryInstance, cot: CoTMatching, diags) -> No
         diags.append({"gadget": rid, "rule": "dense-negative-center-split"})
         if not all(cot.covers(m) for m in members):
             raise InternalError("dense split repair failed to cover the cluster")
-
-
-def _core_of(aux: AuxiliaryInstance, info) -> tuple[int, ...]:
-    for r in aux_records(aux):
-        if r.id == info.subgraph_id:
-            return r.core
-    raise InternalError("gadget points at an unknown record")
-
-
-def aux_records(aux: AuxiliaryInstance) -> list[ForbiddenSubgraph]:
-    recs = getattr(aux, "_records", None)
-    if recs is None:
-        raise InternalError("auxiliary instance lacks attached records")
-    return recs
-
-
-def attach_records(aux: AuxiliaryInstance, records: list[ForbiddenSubgraph]) -> None:
-    aux._records = records  # type: ignore[attr-defined]
 
 
 def _class_of(h: ForbiddenSubgraph, v: int) -> int:
@@ -267,30 +249,30 @@ def _repair_one(g, cot, h, records, neighbors, diags) -> bool:
     if h.kind == CLIQUE:
         for other in partners:
             if other.kind == BICLIQUE:
-                _flip_cross(g, cot, h, other, diags)
+                _flip_cross(cot, h, other, diags)
                 return True
-        for other in sorted(partners, key=lambda r: r.id):
+        for other in partners:
             if other.kind == CLIQUE and h.weight <= other.weight:
                 _flip_shift_clique(g, cot, h, other, diags)
                 return True
     elif h.kind == BICLIQUE:
-        for other in sorted(partners, key=lambda r: r.id):
+        for other in partners:
             if other.kind == BICLIQUE and h.weight <= other.weight:
                 shared = set(h.vertices) & set(other.vertices)
                 if len(shared) == 2 * g.t - 2:
-                    _flip_cross_bicliques(g, cot, h, other, diags)
+                    _flip_cross_bicliques(cot, h, other, diags)
                 else:
                     _flip_shift_biclique(g, cot, h, other, diags)
                 return True
     elif h.kind == PARTITE:
-        for other in sorted(partners, key=lambda r: r.id):
+        for other in partners:
             if other.kind == PARTITE and h.weight <= other.weight:
                 _flip_shift_partite(g, cot, h, other, diags)
                 return True
     raise InternalError(f"no eligible repair partner for record {h.id}")
 
 
-def _flip_cross(g, cot, h, other, diags) -> None:
+def _flip_cross(cot, h, other, diags) -> None:
     # Clique inside a biclique (t = 3 only): exchange the two crossing
     # edges at the shared square for one clique edge and one outer edge.
     hv = set(h.vertices)
@@ -306,14 +288,14 @@ def _flip_cross(g, cot, h, other, diags) -> None:
     diags.append({"subgraph": h.id, "rule": "clique-biclique-exchange", "partner": other.id})
 
 
-def _choose_shift(g, cot, h_out, o_out, shared_adjacent) -> tuple[int, int]:
+def _choose_shift(g, h_out, o_out, shared_adjacent) -> int:
     # Pick the shared vertex whose edge toward this subgraph is no heavier
     # than the partner's edge it replaces.
     for z in shared_adjacent:
         we = g.weight_doubled(g.edge_id(h_out, z))
         wo = g.weight_doubled(g.edge_id(o_out, z))
         if we <= wo:
-            return z, wo
+            return z
     raise InternalError("weight comparison promised a shiftable shared vertex")
 
 
@@ -322,7 +304,7 @@ def _flip_shift_clique(g, cot, h, other, diags) -> None:
     u = min(hv - ov)
     up = min(ov - hv)
     shared = sorted(hv & ov)
-    z, _ = _choose_shift(g, cot, u, up, shared)
+    z = _choose_shift(g, u, up, shared)
     cot.remove_pair(up, z)
     cot.add_pair(u, z)
     diags.append({"subgraph": h.id, "rule": "clique-shift", "partner": other.id})
@@ -333,7 +315,7 @@ def _flip_shift_partite(g, cot, h, other, diags) -> None:
     u = min(hv - ov)
     up = min(ov - hv)
     shared = sorted(v for v in (hv & ov) if v not in h.classes[_class_of(h, u)])
-    z, _ = _choose_shift(g, cot, u, up, shared)
+    z = _choose_shift(g, u, up, shared)
     cot.remove_pair(up, z)
     cot.add_pair(u, z)
     diags.append({"subgraph": h.id, "rule": "partite-shift", "partner": other.id})
@@ -348,13 +330,13 @@ def _flip_shift_biclique(g, cot, h, other, diags) -> None:
     for c in h.classes:
         if u not in c:
             shared_class = c
-    z, _ = _choose_shift(g, cot, u, up, sorted(shared_class))
+    z = _choose_shift(g, u, up, sorted(shared_class))
     cot.remove_pair(up, z)
     cot.add_pair(u, z)
     diags.append({"subgraph": h.id, "rule": "biclique-shift", "partner": other.id})
 
 
-def _flip_cross_bicliques(g, cot, h, other, diags) -> None:
+def _flip_cross_bicliques(cot, h, other, diags) -> None:
     hv = set(h.vertices)
     # Align class sides: class 0 of the partner against whichever class of
     # h it overlaps in t-1 vertices.

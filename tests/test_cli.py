@@ -61,6 +61,7 @@ def test_malformed_inputs(tmp_path, capsys):
     assert main(["solve", write(tmp_path, "4 1 3 restricted\n0 1\n0 2\n")]) == 2
     assert main(["solve", write(tmp_path, "4 1 3 weird\n0 1\n")]) == 2
     assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+    assert main(["solve", write(tmp_path, "4 6 3 kpq\na b\n0 1\n")]) == 2
 
 
 def test_degree_violation_exit_3(tmp_path):
@@ -73,6 +74,11 @@ def test_degree_violation_exit_3(tmp_path):
 def test_not_vertex_induced_exit_4(tmp_path):
     perturbed = "4 6 3 restricted\n0 1 2\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
     assert main(["solve", write(tmp_path, perturbed)]) == 4
+    dense = "6 15 4 kpq\n3 2\n" + "\n".join(
+        f"{u} {v} {3 if (u, v) == (0, 1) else 2}"
+        for u in range(6) for v in range(u + 1, 6)
+    ) + "\n"
+    assert main(["solve", write(tmp_path, dense)]) == 4
 
 
 def test_kpq_instance(tmp_path, capsys):

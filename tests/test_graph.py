@@ -1,112 +1,14 @@
-import itertools
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tmatch.errors import InputFormatError, ValidationError
-from tmatch.graph import (
-    Graph,
-    Pattern,
-    classify_pattern,
-    common_neighbors,
-    induced_complement,
-)
+from tmatch.errors import ValidationError
+from tmatch.graph import Graph
 
 from .conftest import complete_graph
-
-
-def path_graph(n, t=3):
-    return Graph(n, [(i, i + 1, 1) for i in range(n - 1)], t)
-
-
-def test_common_neighbors_triangle():
-    g = Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 3)
-    assert common_neighbors(g, 0, 1) == {2}
-
-
-def test_common_neighbors_k4(k4):
-    assert common_neighbors(k4, 0, 1) == {2, 3}
-
-
-def test_common_neighbors_path():
-    g = path_graph(3)
-    assert common_neighbors(g, 0, 2) == {1}
-
-
-def test_common_neighbors_errors(k4):
-    with pytest.raises(InputFormatError):
-        common_neighbors(k4, 0, 9)
-    with pytest.raises(InputFormatError):
-        common_neighbors(k4, 1, 1)
-
-
-@st.composite
-def bounded_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=30))
-    t = draw(st.integers(min_value=3, max_value=6))
-    pairs = list(itertools.combinations(range(n), 2))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    rng.shuffle(pairs)
-    deg = [0] * n
-    edges = []
-    for (u, v) in pairs:
-        if deg[u] <= t and deg[v] <= t and rng.random() < 0.4:
-            deg[u] += 1
-            deg[v] += 1
-            edges.append((u, v, rng.randint(0, 9)))
-    return Graph(n, edges, t)
-
-
-@given(bounded_graphs())
-@settings(max_examples=60, deadline=None)
-def test_common_neighbors_matches_bruteforce(g):
-    for (u, v) in itertools.combinations(range(min(g.n, 8)), 2):
-        want = set(g.neighbors(u)) & set(g.neighbors(v))
-        assert common_neighbors(g, u, v) == want
-
-
-@given(bounded_graphs())
-@settings(max_examples=60, deadline=None)
-def test_induced_complement_partitions_pairs(g):
-    verts = list(range(min(g.n, 7)))
-    comp = set(induced_complement(g, verts))
-    present = {
-        (u, v)
-        for (u, v) in itertools.combinations(verts, 2)
-        if g.has_edge(u, v)
-    }
-    allp = set(itertools.combinations(verts, 2))
-    assert comp | present == allp
-    assert comp & present == set()
-
-
-def test_induced_complement_examples(k4):
-    assert induced_complement(k4, [0, 1, 2, 3]) == []
-    cyc = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], 3)
-    assert sorted(induced_complement(cyc, [0, 1, 2, 3])) == [(0, 2), (1, 3)]
-    k6_minus = Graph(
-        6,
-        [(u, v, 1) for (u, v) in itertools.combinations(range(6), 2) if (u, v) != (0, 1)],
-        5,
-    )
-    assert induced_complement(k6_minus, [0, 1, 2, 3, 4]) == [(0, 1)]
-
-
-def test_classify_pattern():
-    assert classify_pattern([], [0, 1]) == Pattern("empty")
-    p = classify_pattern([(3, 5)], [3, 5, 7])
-    assert p.kind == "star" and p.centers == {3, 5}
-    assert classify_pattern([(0, 1), (2, 3)], range(4)).kind == "matching"
-    assert classify_pattern([(0, 1), (0, 2), (0, 3)], range(4)).centers == {0}
-    assert classify_pattern([(0, 1), (0, 2), (1, 2)], range(3)).kind == "other"
 
 
 def test_weights_doubled_exactly():
     g = Graph(3, [(0, 1, 3), (1, 2, 7)], 3)
     assert [w for (_, _, w) in g.edges] == [6, 14]
-    assert g.input_weights() == [3, 7]
 
 
 def test_validation_errors():

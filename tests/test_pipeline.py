@@ -114,6 +114,15 @@ def test_not_vertex_induced_rejected():
     )
     with pytest.raises(NotVertexInducedError):
         solve(g, Variant.restricted())
+    # A dense K6: only the members that put 0 and 1 in different classes
+    # contain the heavy edge; the cluster's own check over all its edges
+    # rejects it.
+    edges = [
+        (u, v, 3 if (u, v) == (0, 1) else 2)
+        for (u, v) in itertools.combinations(range(6), 2)
+    ]
+    with pytest.raises(NotVertexInducedError, match="dense"):
+        solve(Graph(6, edges, 4), Variant.kpq(3, 2))
 
 
 def test_verify_solution_flags_subgraph(k4):

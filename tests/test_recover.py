@@ -165,12 +165,11 @@ def test_dense_rewire_translation():
     # center.  The matching is handcrafted (feasible, not optimal).
     from tmatch.gadgets import build_auxiliary
     from tmatch.lb import LbMatching
-    from tmatch.recover import attach_records, matching_to_cotmatching
+    from tmatch.recover import matching_to_cotmatching
 
     g = _k6_minus_edge([1, 1, 1, 3, 3, 3])  # core {2,3,4,5}, center 2
     records, _, potentials, _ = prepare(g, Variant.kpq(3, 2))
     aux = build_auxiliary(g, records, potentials)
-    attach_records(aux, records)
     info = aux.gadgets[0]
     assert info.kind == "dense" and info.center == 2
     chosen = [eid for (eid, _) in info.half_edges[info.center_hub]]
@@ -203,12 +202,11 @@ def test_dense_rewire_translation():
 
 def test_dense_negative_center_defensive_split():
     from tmatch.gadgets import build_auxiliary
-    from tmatch.recover import CoTMatching, attach_records, _repair_skipped_dense
+    from tmatch.recover import CoTMatching, _repair_skipped_dense
 
     g = _k6_minus_edge([2, 2, -1, 3, 3, 3])  # center potential -1: no gadget
     records, _, potentials, _ = prepare(g, Variant.kpq(3, 2))
     aux = build_auxiliary(g, records, potentials)
-    attach_records(aux, records)
     assert aux.gadgets == [] and aux.skipped_dense
     # a perfect matching of the core leaves every member uncovered
     cot = CoTMatching(g, [g.edge_id(2, 3), g.edge_id(4, 5)])
@@ -237,6 +235,6 @@ def test_biclique_shift_invariance_of_optimum():
             side = 0 if v in rec.classes[0] else 1
             shifted[v] = base.value(v) + (delta if side == 0 else -delta)
         aux = build_auxiliary(g, records, {rec.id: PotentialFunction(shifted)})
-        res = solve_min_weight_lb(aux)
+        res = solve_min_weight_lb(aux.graph, aux.capacities, aux.graph.weights())
         results.append(res.weight)
     assert results[0] == results[1] == results[2]
