@@ -470,30 +470,22 @@ def find_all_forbidden(
     """
     stats = DetectionStats()
     records: list[ForbiddenSubgraph] = []
-    rec_index: dict[tuple, int] = {}
     inter = IntersectionRecord()
-
-    def add_records(shape_recs, p, q, local_pairs):
-        kind = _kind_for_shape(p, q)
-        idmap = {}
-        for i, (verts, classes) in enumerate(shape_recs):
-            key = (kind, verts, classes)
-            if key not in rec_index:
-                rid = len(records)
-                rec_index[key] = rid
-                records.append(
-                    ForbiddenSubgraph(
-                        kind, verts, classes,
-                        _subgraph_weight(g, verts, classes, kind), id=rid,
-                    )
-                )
-            idmap[i] = rec_index[key]
-        for (a, b) in local_pairs:
-            inter.add(idmap[a], idmap[b])
-
+    # _run_shape emits each record once, and every shape of a variant has
+    # its own kind, so records of different shapes never coincide.
     for (p, q) in variant.shapes(g.t):
+        kind = _kind_for_shape(p, q)
         recs, pairs = _run_shape(g, p, q, stats)
-        add_records(recs, p, q, pairs)
+        base = len(records)
+        for (verts, classes) in recs:
+            records.append(
+                ForbiddenSubgraph(
+                    kind, verts, classes,
+                    _subgraph_weight(g, verts, classes, kind), id=len(records),
+                )
+            )
+        for (a, b) in pairs:
+            inter.add(base + a, base + b)
 
     # Cross-kind sharing is only possible between a clique and a biclique
     # at t = 3, where the clique's vertex set sits inside the biclique's.

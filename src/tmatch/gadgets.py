@@ -35,8 +35,6 @@ class GadgetInfo:
     collector: int = -1
     center_hub: int = -1
     center: int = -1
-    core_size: int = 0
-    p: int = 0
     half_edges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     internal_edges: list[int] = field(default_factory=list)
 
@@ -54,9 +52,6 @@ class AuxiliaryInstance:
     gadgets: list[GadgetInfo]
     original: Graph
     records: list[ForbiddenSubgraph]
-    # Dense clusters left without a gadget (negative center potential),
-    # as (record id, center vertex) pairs.
-    skipped_dense: list[tuple[int, int]] = field(default_factory=list)
 
     def original_edge_ids(self, selected: list[int]) -> list[int]:
         out = []
@@ -97,28 +92,18 @@ def build_auxiliary(
         else:
             lower[v], upper[v] = 0, g.degree(v)
 
+    # Targets are disjoint: classify_problematic checks that every
+    # problematic record and dense cluster is.
     targets = []
-    skipped = []
-    seen_vertices: dict[int, int] = {}
     for r in records:
         if r.kind == DENSE:
             pf = potentials.get(r.id)
             if pf is None:
                 raise InternalError(f"missing potentials for dense cluster {r.id}")
-            center = min(r.core, key=lambda v: (pf.value(v), v))
-            if pf.value(center) < 0:
-                skipped.append((r.id, center))
-                continue
-            targets.append(r)
+            if min(pf.value(v) for v in r.core) >= 0:
+                targets.append(r)
         elif r.problematic:
             targets.append(r)
-    for r in targets:
-        for v in r.vertices:
-            if v in seen_vertices:
-                raise InternalError(
-                    f"gadget targets {seen_vertices[v]} and {r.id} overlap at {v}"
-                )
-            seen_vertices[v] = r.id
 
     gadgets: list[GadgetInfo] = []
     for r in targets:
@@ -144,7 +129,6 @@ def build_auxiliary(
                     _add_half(mg, info.half_edges, hub, v, pf.value(v), gidx)
         elif r.kind == PARTITE:
             p = len(r.classes)
-            info.p = p
             collector = mg.add_vertex()
             lower.append(p - 2)
             upper.append(p - 2)
@@ -164,16 +148,13 @@ def build_auxiliary(
             # disjoint from the core; the core itself hangs off one doubled
             # hub at its minimum-potential vertex.
             core = set(r.core)
-            k = len(r.core) // 2
             outside_classes = _outside_classes(r, records, core)
-            p = k + len(outside_classes)
-            info.p = p
-            info.core_size = len(r.core)
             center = min(r.core, key=lambda v: (pf.value(v), v))
             info.center = center
+            # Collector degree p - k, with k = |core|/2: one per outside class.
             collector = mg.add_vertex()
-            lower.append(p - k)
-            upper.append(p - k)
+            lower.append(len(outside_classes))
+            upper.append(len(outside_classes))
             info.collector = collector
             center_hub = mg.add_vertex()
             lower.append(2)
@@ -199,7 +180,7 @@ def build_auxiliary(
         gadgets.append(info)
 
     cap = CapacityVector(lower, upper)
-    return AuxiliaryInstance(mg, cap, gadgets, g, records, skipped)
+    return AuxiliaryInstance(mg, cap, gadgets, g, records)
 
 
 def _outside_classes(

@@ -30,7 +30,7 @@ class Graph:
     be shared freely between threads.
     """
 
-    __slots__ = ("n", "t", "edges", "adj", "_edge_index")
+    __slots__ = ("n", "t", "edges", "adj", "_edge_index", "unweighted")
 
     def __init__(
         self,
@@ -56,8 +56,13 @@ class Graph:
         self.edges: list[tuple[int, int, int]] = []
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._edge_index: dict[tuple[int, int], int] = {}
+        # Every weight is one (doubled: 2); the solve then takes the
+        # cardinality track.
+        self.unweighted = True
         for (u, v, w) in edges:
-            self._add_edge(u, v, w if weights_doubled else 2 * w)
+            wd = w if weights_doubled else 2 * w
+            self._add_edge(u, v, wd)
+            self.unweighted = self.unweighted and wd == 2
         for v in range(n):
             if len(self.adj[v]) > t + 1:
                 raise ValidationError(

@@ -89,31 +89,22 @@ def solve_lb(
     sign = 1 if maximize else -1
     w_eff = [sign * w for w in weights]
 
-    # Edges at a zero-capacity vertex can never be matched; dropping them
-    # lowers effective degrees, which may cascade into further clamping.
-    keep = [True] * mg.m
-    while True:
-        deg_eff = [0] * mg.n
-        for eid, e in enumerate(mg.edges):
-            if keep[eid]:
-                deg_eff[e.u] += 1
-                deg_eff[e.v] += 1
-        changed = False
-        for v in range(mg.n):
-            if upper[v] > deg_eff[v]:
-                upper[v] = deg_eff[v]
-                changed = True
-            if lower[v] > upper[v]:
-                raise InfeasibleError(
-                    f"vertex {v} needs {lower[v]} incident edges but only "
-                    f"{upper[v]} can be matched"
-                )
-        for eid, e in enumerate(mg.edges):
-            if keep[eid] and (upper[e.u] == 0 or upper[e.v] == 0):
-                keep[eid] = False
-                changed = True
-        if not changed:
-            break
+    # Edges at a zero-capacity vertex can never be matched.  Dropping them
+    # lowers effective degrees, so upper bounds clamp once more; a vertex
+    # clamped to zero has no edge left, so nothing cascades further.
+    keep = [upper[e.u] > 0 and upper[e.v] > 0 for e in mg.edges]
+    deg_eff = [0] * mg.n
+    for eid, e in enumerate(mg.edges):
+        if keep[eid]:
+            deg_eff[e.u] += 1
+            deg_eff[e.v] += 1
+    for v in range(mg.n):
+        upper[v] = min(upper[v], deg_eff[v])
+        if lower[v] > upper[v]:
+            raise InfeasibleError(
+                f"vertex {v} needs {lower[v]} incident edges but only "
+                f"{upper[v]} can be matched"
+            )
 
     # --- split: one external per edge end, internals absorb the slack.
     kept = [eid for eid in range(mg.m) if keep[eid]]
@@ -228,6 +219,7 @@ def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
     per gadget, chosen to meet every exact gadget capacity."""
     mg = aux.graph
     g = aux.original
+    lower = aux.capacities.lower
     picked: list[int] = []
     deg = [0] * mg.n
 
@@ -237,31 +229,18 @@ def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
         deg[mg.edges[eid].v] += 1
 
     for info in aux.gadgets:
-        if info.kind == "clique":
-            hub = info.hubs[0]
-            for (eid, _) in info.half_edges[hub][:2]:
-                take(eid)
-        elif info.kind == "biclique":
-            for hub in info.hubs:
-                take(info.half_edges[hub][0][0])
-        elif info.kind == "partite":
-            need = aux.capacities.lower[info.collector]
-            for eid in info.internal_edges[:need]:
-                take(eid)
-            for hub in info.hubs:
-                if deg[hub] == 0:
-                    take(info.half_edges[hub][0][0])
-        elif info.kind == "dense":
-            for (eid, _) in info.half_edges[info.center_hub][:2]:
-                take(eid)
-            hub_internal = [
+        # The collector fills up from hubs other than a dense center hub,
+        # then every hub short of its lower bound takes half-edges.
+        if info.collector >= 0:
+            links = [
                 e for e in info.internal_edges
                 if info.center_hub not in (mg.edges[e].u, mg.edges[e].v)
             ]
-            for eid in hub_internal:
+            for eid in links[:lower[info.collector]]:
                 take(eid)
-        else:
-            raise InternalError(f"unknown gadget kind {info.kind}")
+        for hub, halves in info.half_edges.items():
+            for (eid, _) in halves[:lower[hub] - deg[hub]]:
+                take(eid)
     for v in range(g.n):
         if g.degree(v) == g.t + 1 and deg[v] == 0:
             best, slack = -1, -1
@@ -306,22 +285,18 @@ def count_weight_identity(aux: AuxiliaryInstance, m: LbMatching) -> int:
     """Cardinality-minus-weight bookkeeping for unit-weight instances.
 
     Returns |M| - w(M) in input units and checks it equals the per-gadget
-    tally: one per clique or biclique gadget, p-1 per partite gadget and
-    p - core/2 + 1 per dense gadget.
+    tally: its two half-edges count one half each, and each collector edge
+    counts one, so a gadget adds 1 plus its collector's lower bound.
     """
     wd = sum(aux.graph.edges[e].w for e in m.edge_ids)
     num = 2 * len(m.edge_ids) - wd
     if num % 2 != 0:
         raise InternalError("count/weight difference is not an integer")
     value = num // 2
-    expect = 0
-    for info in aux.gadgets:
-        if info.kind in ("clique", "biclique"):
-            expect += 1
-        elif info.kind == "partite":
-            expect += info.p - 1
-        elif info.kind == "dense":
-            expect += info.p - info.core_size // 2 + 1
+    expect = sum(
+        1 + (aux.capacities.lower[info.collector] if info.collector >= 0 else 0)
+        for info in aux.gadgets
+    )
     if value != expect:
         raise InternalError(
             f"cardinality/weight identity off: got {value}, expected {expect}"

@@ -27,10 +27,6 @@ def validate_instance(g: Graph, variant: Variant) -> None:
     variant.validate(g.t)
 
 
-def is_unweighted(g: Graph) -> bool:
-    return all(w == 2 for (_, _, w) in g.edges)
-
-
 def prepare(g: Graph, variant: Variant):
     """Detection, potential extraction and classification for a solve.
 
@@ -40,7 +36,6 @@ def prepare(g: Graph, variant: Variant):
     """
     records, inter, stats = _detect.find_all_forbidden(g, variant)
     dense = _detect.find_dense(g, records)
-    unweighted = is_unweighted(g)
 
     potentials: dict[int, PotentialFunction] = {}
     for r in records:
@@ -48,12 +43,12 @@ def prepare(g: Graph, variant: Variant):
         # below covers every edge among the cluster's vertices.
         if r.in_dense >= 0:
             continue
-        if unweighted:
+        if g.unweighted:
             potentials[r.id] = unit_potentials(r)
         else:
             potentials[r.id] = extract_potential(g, r)
     for r in dense:
-        if unweighted:
+        if g.unweighted:
             potentials[r.id] = unit_potentials(r)
         else:
             members = [records[i] for i in r.member_ids]
@@ -69,12 +64,11 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
     forbidden subgraphs."""
     validate_instance(g, variant)
     records, inter, potentials, det_stats = prepare(g, variant)
-    unweighted = is_unweighted(g)
 
     aux = build_auxiliary(g, records, potentials)
 
     diagnostics: list[dict] = []
-    if unweighted:
+    if g.unweighted:
         m = _lb.solve_min_cardinality_capped(aux)
         identity = _lb.count_weight_identity(aux, m)
         diagnostics.append({"rule": "cardinality-track", "count_weight_gap": identity})
@@ -100,7 +94,7 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
         "m": g.m,
         "t": g.t,
         "variant": variant.describe(),
-        "unweighted": unweighted,
+        "unweighted": g.unweighted,
         "forbidden": len([r for r in records if r.kind != DENSE]),
         "dense_clusters": len([r for r in records if r.kind == DENSE]),
         "problematic": len(

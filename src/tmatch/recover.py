@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
+from .detect import BICLIQUE, CLIQUE, DENSE, ForbiddenSubgraph
 from .errors import InternalError
 from .gadgets import AuxiliaryInstance
 from .graph import ORIGINAL, Graph
@@ -100,7 +100,7 @@ def matching_to_cotmatching(
                 f"gadget {info.subgraph_id} holds {len(halves)} half-edges, wanted 2"
             )
         (e1, a), (e2, b) = halves
-        if info.kind in (CLIQUE, BICLIQUE, PARTITE):
+        if info.kind != DENSE:
             if a == b:
                 raise InternalError("half-edge pair collapsed onto one vertex")
             cot.add_pair(a, b)
@@ -154,54 +154,9 @@ def matching_to_cotmatching(
         cot.add_pair(center, u2)
         diags.append({"gadget": info.subgraph_id, "rule": "dense-rewire"})
 
-    _repair_skipped_dense(aux, cot, diags)
     if not cot.is_cotmatching():
         raise InternalError("translation lost coverage of a full-degree vertex")
     return cot
-
-
-def _repair_skipped_dense(aux: AuxiliaryInstance, cot: CoTMatching, diags) -> None:
-    """Dense clusters with a negative-potential center carry no gadget; a
-    minimum solve covers them anyway.  Re-check, and if a non-minimal
-    matching slipped through, split one core edge through the center
-    (which strictly lowers the weight)."""
-    records = aux.records
-    g = aux.original
-    for (rid, center) in aux.skipped_dense:
-        rec = records[rid]
-        members = [records[i] for i in rec.member_ids]
-        if all(cot.covers(m) for m in members):
-            continue
-        # An uncovered member forces the matched core edges to be exactly a
-        # perfect matching of the core (inducing the one member missed).
-        core = set(rec.core)
-        inside = [
-            e for e in cot.ids
-            if g.edges[e][0] in core and g.edges[e][1] in core
-        ]
-        deg_in = {v: 0 for v in core}
-        for e in inside:
-            deg_in[g.edges[e][0]] += 1
-            deg_in[g.edges[e][1]] += 1
-        if any(d != 1 for d in deg_in.values()):
-            raise InternalError("uncovered dense cluster without a core matching")
-        (v1, v2) = next(
-            (g.edges[e][0], g.edges[e][1]) for e in sorted(inside)
-            if center not in (g.edges[e][0], g.edges[e][1])
-        )
-        cot.remove_pair(v1, v2)
-        cot.add_pair(center, v1)
-        cot.add_pair(center, v2)
-        diags.append({"gadget": rid, "rule": "dense-negative-center-split"})
-        if not all(cot.covers(m) for m in members):
-            raise InternalError("dense split repair failed to cover the cluster")
-
-
-def _class_of(h: ForbiddenSubgraph, v: int) -> int:
-    for i, c in enumerate(h.classes):
-        if v in c:
-            return i
-    raise InternalError("vertex not in any class")
 
 
 def cover_unproblematic(
@@ -214,9 +169,10 @@ def cover_unproblematic(
     """Repair coverage of gadget-less subgraphs by weight-neutral flips.
 
     Every uncovered subgraph here is unproblematic, so it has a partner of
-    at least its weight sharing a vertex; one of three local exchanges
-    moves coverage onto it without increasing total weight or breaking the
-    degree property.  Iterates until everything is covered.
+    at least its weight sharing a vertex; one of two local exchanges (shift
+    one complement edge at a shared vertex, or swap two crossing edges at a
+    shared square) moves coverage onto it without increasing total weight
+    or breaking the degree property.  Iterates until everything is covered.
     """
     diags = diagnostics if diagnostics is not None else []
     plain = [r for r in records if r.kind != DENSE]
@@ -224,122 +180,47 @@ def cover_unproblematic(
         uncovered = [r for r in plain if not cot.covers(r)]
         if not uncovered:
             return cot
-        progressed = False
         for h in uncovered:
             if cot.covers(h):
                 continue
             if h.in_dense >= 0:
                 raise InternalError(
-                    "a dense-cluster member escaped its gadget's coverage"
+                    "a dense-cluster member is uncovered: its cluster's gadget, "
+                    "or the minimum solve where the cluster has none, must cover it"
                 )
             before = cot.weight_doubled()
-            if _repair_one(g, cot, h, records, neighbors, diags):
-                progressed = True
-                if cot.weight_doubled() > before:
-                    raise InternalError("repair flip increased the weight")
-                if not cot.is_cotmatching():
-                    raise InternalError("repair flip broke the degree property")
-        if not progressed:
-            raise InternalError("repair loop stalled with uncovered subgraphs")
+            _repair_one(g, cot, h, records, neighbors, diags)
+            if cot.weight_doubled() > before:
+                raise InternalError("repair flip increased the weight")
+            if not cot.is_cotmatching():
+                raise InternalError("repair flip broke the degree property")
     raise InternalError("repair loop failed to terminate")
 
 
-def _repair_one(g, cot, h, records, neighbors, diags) -> bool:
+def _repair_one(g, cot, h, records, neighbors, diags) -> None:
     partners = sorted((records[j] for j in neighbors[h.id]), key=lambda r: r.id)
     if h.kind == CLIQUE:
         for other in partners:
             if other.kind == BICLIQUE:
-                _flip_cross(cot, h, other, diags)
-                return True
-        for other in partners:
-            if other.kind == CLIQUE and h.weight <= other.weight:
-                _flip_shift_clique(g, cot, h, other, diags)
-                return True
-    elif h.kind == BICLIQUE:
-        for other in partners:
-            if other.kind == BICLIQUE and h.weight <= other.weight:
-                shared = set(h.vertices) & set(other.vertices)
-                if len(shared) == 2 * g.t - 2:
-                    _flip_cross_bicliques(cot, h, other, diags)
-                else:
-                    _flip_shift_biclique(g, cot, h, other, diags)
-                return True
-    elif h.kind == PARTITE:
-        for other in partners:
-            if other.kind == PARTITE and h.weight <= other.weight:
-                _flip_shift_partite(g, cot, h, other, diags)
-                return True
+                _flip_cross(cot, h, other, "clique-biclique-exchange", diags)
+                return
+    for other in partners:
+        if other.kind == h.kind and h.weight <= other.weight:
+            shared = set(h.vertices) & set(other.vertices)
+            if h.kind == BICLIQUE and len(shared) == 2 * g.t - 2:
+                _flip_cross(cot, h, other, "biclique-exchange", diags)
+            else:
+                _flip_shift(g, cot, h, other, diags)
+            return
     raise InternalError(f"no eligible repair partner for record {h.id}")
 
 
-def _flip_cross(cot, h, other, diags) -> None:
-    # Clique inside a biclique (t = 3 only): exchange the two crossing
-    # edges at the shared square for one clique edge and one outer edge.
+def _flip_cross(cot, h, other, rule, diags) -> None:
+    # ``other`` is a biclique sharing a square with h (a clique inside it
+    # at t = 3, or a biclique meeting it in t-1 vertices per side): exchange
+    # the two crossing edges at the square for one edge inside h and one
+    # between other's private vertices.
     hv = set(h.vertices)
-    c1 = [v for v in other.classes[0] if v in hv]
-    c2 = [v for v in other.classes[1] if v in hv]
-    u1 = min(v for v in other.classes[0] if v not in hv)
-    u2 = min(v for v in other.classes[1] if v not in hv)
-    v1, v2 = min(c1), min(c2)
-    cot.remove_pair(v1, u2)
-    cot.remove_pair(v2, u1)
-    cot.add_pair(v1, v2)
-    cot.add_pair(u1, u2)
-    diags.append({"subgraph": h.id, "rule": "clique-biclique-exchange", "partner": other.id})
-
-
-def _choose_shift(g, h_out, o_out, shared_adjacent) -> int:
-    # Pick the shared vertex whose edge toward this subgraph is no heavier
-    # than the partner's edge it replaces.
-    for z in shared_adjacent:
-        we = g.weight_doubled(g.edge_id(h_out, z))
-        wo = g.weight_doubled(g.edge_id(o_out, z))
-        if we <= wo:
-            return z
-    raise InternalError("weight comparison promised a shiftable shared vertex")
-
-
-def _flip_shift_clique(g, cot, h, other, diags) -> None:
-    hv, ov = set(h.vertices), set(other.vertices)
-    u = min(hv - ov)
-    up = min(ov - hv)
-    shared = sorted(hv & ov)
-    z = _choose_shift(g, u, up, shared)
-    cot.remove_pair(up, z)
-    cot.add_pair(u, z)
-    diags.append({"subgraph": h.id, "rule": "clique-shift", "partner": other.id})
-
-
-def _flip_shift_partite(g, cot, h, other, diags) -> None:
-    hv, ov = set(h.vertices), set(other.vertices)
-    u = min(hv - ov)
-    up = min(ov - hv)
-    shared = sorted(v for v in (hv & ov) if v not in h.classes[_class_of(h, u)])
-    z = _choose_shift(g, u, up, shared)
-    cot.remove_pair(up, z)
-    cot.add_pair(u, z)
-    diags.append({"subgraph": h.id, "rule": "partite-shift", "partner": other.id})
-
-
-def _flip_shift_biclique(g, cot, h, other, diags) -> None:
-    # Intersection keeps one full class; the flip moves one crossing edge.
-    hv, ov = set(h.vertices), set(other.vertices)
-    u = min(hv - ov)
-    up = min(ov - hv)
-    shared_class = None
-    for c in h.classes:
-        if u not in c:
-            shared_class = c
-    z = _choose_shift(g, u, up, sorted(shared_class))
-    cot.remove_pair(up, z)
-    cot.add_pair(u, z)
-    diags.append({"subgraph": h.id, "rule": "biclique-shift", "partner": other.id})
-
-
-def _flip_cross_bicliques(cot, h, other, diags) -> None:
-    hv = set(h.vertices)
-    # Align class sides: class 0 of the partner against whichever class of
-    # h it overlaps in t-1 vertices.
     o1, o2 = other.classes
     u1 = min(v for v in o1 if v not in hv)
     u2 = min(v for v in o2 if v not in hv)
@@ -349,7 +230,27 @@ def _flip_cross_bicliques(cot, h, other, diags) -> None:
     cot.remove_pair(v2, u1)
     cot.add_pair(v1, v2)
     cot.add_pair(u1, u2)
-    diags.append({"subgraph": h.id, "rule": "biclique-exchange", "partner": other.id})
+    diags.append({"subgraph": h.id, "rule": rule, "partner": other.id})
+
+
+def _flip_shift(g, cot, h, other, diags) -> None:
+    # Move one complement edge from the partner's private vertex to h's:
+    # pick the first shared vertex outside u's class (h has no classes if
+    # it is a clique) whose edge toward u is no heavier than the partner's
+    # edge it replaces.
+    hv, ov = set(h.vertices), set(other.vertices)
+    u = min(hv - ov)
+    up = min(ov - hv)
+    own = next((c for c in h.classes if u in c), ())
+    for z in sorted(hv & ov):
+        if z in own:
+            continue
+        if g.weight_doubled(g.edge_id(u, z)) <= g.weight_doubled(g.edge_id(up, z)):
+            cot.remove_pair(up, z)
+            cot.add_pair(u, z)
+            diags.append({"subgraph": h.id, "rule": f"{h.kind}-shift", "partner": other.id})
+            return
+    raise InternalError("weight comparison promised a shiftable shared vertex")
 
 
 def verify_solution(

@@ -5,7 +5,6 @@ lines as they complete.  Criteria 1/3/4 share one instance sweep (the
 results are computed once and cached at module scope).
 """
 
-import itertools
 import random
 import time
 
@@ -18,12 +17,10 @@ from tmatch.detect import (
     BICLIQUE,
     CLIQUE,
     DENSE,
-    PARTITE,
     find_all_forbidden,
     find_dense,
 )
 from tmatch.errors import InfeasibleError, InstanceTooLargeError
-from tmatch.gadgets import build_auxiliary
 from tmatch.generators import (
     plant_forbidden,
     random_bounded,

@@ -3,8 +3,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from tmatch import Variant
 from tmatch.cli import main
 from tmatch.detect import find_all_forbidden

@@ -1,13 +1,9 @@
 import itertools
 import random
 
-import pytest
-
 from tmatch.detect import (
     BICLIQUE,
     CLIQUE,
-    DENSE,
-    PARTITE,
     DetectionStats,
     ForbiddenSubgraph,
     _find_at,
@@ -19,13 +15,12 @@ from tmatch.detect import (
     find_dense,
     find_partner,
 )
-from tmatch.errors import InternalError
 from tmatch.generators import plant_forbidden, random_bounded
 from tmatch.graph import Graph
 from tmatch.oracle import brute_force_subgraphs
 from tmatch.variant import Variant
 
-from .conftest import complete_bipartite, complete_graph, octahedron
+from .conftest import complete_graph, octahedron
 
 
 def cycle(n, t=3):

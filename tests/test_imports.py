@@ -1,0 +1,44 @@
+"""Every name the package and the tests import is used.
+
+An import left behind by deleted code hides what a module still depends
+on.  ``__future__`` imports and names listed in ``__all__`` count as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tmatch").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in SOURCES:
+        for entry in unused_imports(ast.parse(path.read_text(), str(path))):
+            found.append(f"{path.relative_to(ROOT)} {entry}")
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -15,8 +15,6 @@ from tmatch.potentials import (
 )
 from tmatch.variant import Variant
 
-from .conftest import complete_bipartite, complete_graph
-
 
 def test_triangle_345():
     # input weights 3,4,5 -> doubled 6,8,10 -> potentials 1,2,3 (doubled 2,4,6)

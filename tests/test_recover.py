@@ -1,7 +1,3 @@
-import itertools
-
-import pytest
-
 from tmatch.detect import classify_problematic, find_all_forbidden
 from tmatch.gadgets import build_auxiliary, gadget_stats
 from tmatch.generators import plant_forbidden, reweighted
@@ -68,6 +64,32 @@ def test_repair_weighted_shift_picks_cheap_edge():
     assert cot.covers(light) and cot.covers(heavy)
     assert cot.weight_doubled() <= before
     assert any(d["rule"] == "clique-shift" for d in diags)
+
+
+def test_repair_partite_shift_moves_edge_off_heavy_vertex():
+    # A K^3_3 pair plant at t=6: the last class has four candidates, so
+    # every three of them form a copy.  Raising one candidate's potential
+    # leaves the copy without it lightest; a complement of every edge at
+    # the heavy candidate covers all copies but that one, and the shift
+    # flip moves one edge onto the light copy without raising the weight.
+    g0 = plant_forbidden(Graph(0, [], 6), "partite_pair", 1, 1, p=3, q=3)
+    privates = [v for v in range(g0.n) if g0.degree(v) == g0.t]
+    heavy_vertex = privates[0]
+    pots = {v: 1 for v in range(g0.n)}
+    pots[heavy_vertex] = 3
+    g = reweighted(g0, [pots[u] + pots[v] for (u, v, _) in g0.edges])
+    records, inter, _ = find_all_forbidden(g, Variant.kpq(3, 3))
+    classify_problematic(records, inter)
+    light = next(r for r in records if heavy_vertex not in r.vertices)
+    assert not any(r.problematic for r in records)
+    cot = CoTMatching(g, [eid for (_, eid) in g.adj[heavy_vertex]])
+    assert cot.is_cotmatching() and not cot.covers(light)
+    before = cot.weight_doubled()
+    diags = []
+    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    assert all(cot.covers(r) for r in records)
+    assert cot.weight_doubled() <= before
+    assert any(d["rule"] == "partite-shift" for d in diags)
 
 
 def test_gadget_size_bounds():
@@ -198,26 +220,6 @@ def test_dense_rewire_translation():
     dense = next(r for r in records if r.kind == "dense")
     for mid in dense.member_ids:
         assert cot.covers(records[mid])
-
-
-def test_dense_negative_center_defensive_split():
-    from tmatch.gadgets import build_auxiliary
-    from tmatch.recover import CoTMatching, _repair_skipped_dense
-
-    g = _k6_minus_edge([2, 2, -1, 3, 3, 3])  # center potential -1: no gadget
-    records, _, potentials, _ = prepare(g, Variant.kpq(3, 2))
-    aux = build_auxiliary(g, records, potentials)
-    assert aux.gadgets == [] and aux.skipped_dense
-    # a perfect matching of the core leaves every member uncovered
-    cot = CoTMatching(g, [g.edge_id(2, 3), g.edge_id(4, 5)])
-    before = cot.weight_doubled()
-    diags = []
-    _repair_skipped_dense(aux, cot, diags)
-    assert any(d["rule"] == "dense-negative-center-split" for d in diags)
-    dense = next(r for r in records if r.kind == "dense")
-    for mid in dense.member_ids:
-        assert cot.covers(records[mid])
-    assert cot.weight_doubled() < before  # the split strictly improves
 
 
 def test_biclique_shift_invariance_of_optimum():
