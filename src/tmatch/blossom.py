@@ -71,9 +71,9 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
     and endpoint[2k+1] with doubled weight wt2[k] > 0.  Free vertices end
     with dual zero.
 
-    Returns (mate, dual, childs): mate[v] is the partner of v or -1,
+    Returns (mate, dual, leaves): mate[v] is the partner of v or -1,
     dual[v] is 2*y(v) for a vertex and dual[b] is z(b) for a blossom, and
-    childs[b] lists the sub-blossoms of each blossom still in use (None
+    leaves[b] lists the vertices inside each blossom still in use (None
     for a free blossom id).
     """
     nb = 2 * n
@@ -438,7 +438,7 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
                 expand_blossom(b, True)
 
     partner = [endpoint[m] if m >= 0 else -1 for m in mate]
-    return partner, dual, childs
+    return partner, dual, leaves
 
 
 @dataclass
@@ -582,25 +582,18 @@ def maximum_weight_perfect_matching(
         endpoint.append(v)
         wt2.append(2 * (edges[eid][2] + shift * (req[u] + req[v])))
 
-    mate, dual, childs = _solve(n, endpoint, wt2)
+    mate, dual, leaves = _solve(n, endpoint, wt2)
     for v in range(n):
         if req[v] and mate[v] == -1:
             raise InfeasibleError(f"no matching covers required vertex {v}")
 
     total = sum(edges[best_eid[(v, mate[v])]][2] for v in range(n) if mate[v] > v)
 
-    blossoms = []
-    for b in range(n, 2 * n):
-        if childs[b] is not None and dual[b] > 0:
-            members = []
-            stack = [b]
-            while stack:
-                x = stack.pop()
-                if x < n:
-                    members.append(x)
-                else:
-                    stack.extend(childs[x])
-            blossoms.append((sorted(members), 2 * dual[b]))
+    blossoms = [
+        (sorted(leaves[b]), 2 * dual[b])
+        for b in range(n, 2 * n)
+        if leaves[b] is not None and dual[b] > 0
+    ]
     cert = MatchingCertificate(dual[:n], blossoms, shift, req)
     verify_optimum(n, edges, mate, cert)
     return mate, total, cert

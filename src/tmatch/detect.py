@@ -57,7 +57,7 @@ class ForbiddenSubgraph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Unordered vertex pairs forming this subgraph's edge set."""
         if self.kind == CLIQUE:
-            return [(u, v) for (u, v) in itertools.combinations(self.vertices, 2)]
+            return list(itertools.combinations(self.vertices, 2))
         if self.kind == DENSE:
             raise InternalError("dense clusters do not own an edge set; use members")
         out = []
@@ -72,10 +72,6 @@ class IntersectionRecord:
     """Symmetric record of forbidden-subgraph pairs sharing a vertex."""
 
     pairs: set[tuple[int, int]] = field(default_factory=set)
-
-    def add(self, a: int, b: int) -> None:
-        if a != b:
-            self.pairs.add((min(a, b), max(a, b)))
 
     def neighbors(self, count: int) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(count)]
@@ -176,23 +172,13 @@ def _canon_classes(classes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _subgraph_weight(g: Graph, vertices, classes, kind: str) -> int:
+def _subgraph_weight(g: Graph, h: ForbiddenSubgraph) -> int:
     w = 0
-    if kind == CLIQUE:
-        for (u, v) in itertools.combinations(vertices, 2):
-            eid = g.edge_id(u, v)
-            if eid is None:
-                raise InternalError("clique candidate misses an edge")
-            w += g.weight_doubled(eid)
-        return w
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            for u in ci:
-                for v in cj:
-                    eid = g.edge_id(u, v)
-                    if eid is None:
-                        raise InternalError("partite candidate misses a cross edge")
-                    w += g.weight_doubled(eid)
+    for (u, v) in h.edge_pairs():
+        eid = g.edge_id(u, v)
+        if eid is None:
+            raise InternalError(f"{h.kind} candidate {h.vertices} misses edge ({u},{v})")
+        w += g.weight_doubled(eid)
     return w
 
 
@@ -231,28 +217,6 @@ def _cliques_at_edge(R: _Residual, t: int, v: int, u: int) -> list[tuple]:
     return out
 
 
-def _cliques_at_vertex(R: _Residual, t: int, v: int) -> list[tuple]:
-    nbrs = R.neighbors(v)
-    if len(nbrs) < t:
-        return []
-    out = []
-    for u in nbrs[:2]:
-        out.extend(_cliques_at_edge(R, t, v, u))
-    return out
-
-
-def _partite_classes_forced(R: _Residual, verts: list[int], p: int, q: int):
-    """Classes of a K^p_q on exactly ``verts`` for q >= 3 (or None).
-
-    For q >= 3 the color classes are forced: they are the connected
-    components of the non-adjacency graph restricted to the vertex set.
-    """
-    comps = _complement_components(R, verts)
-    if len(comps) != p or any(len(c) != q for c in comps):
-        return None
-    return comps
-
-
 def _partite_q3_at_edge(R: _Residual, p: int, q: int, v0: int, v1: int) -> list[tuple]:
     """All K^p_q's (q >= 3) of the residual graph containing edge (v0, v1)."""
     n0 = [x for x in R.neighbors(v0) if x != v1]
@@ -269,24 +233,15 @@ def _partite_q3_at_edge(R: _Residual, p: int, q: int, v0: int, v1: int) -> list[
     candidates = [x for x in pool if x != v0 and x != v1]
     for drop in itertools.combinations(candidates, excl):
         verts = [x for x in pool if x not in drop]
-        comps = _partite_classes_forced(R, verts, p, q)
-        if comps is None:
+        # For q >= 3 the color classes are forced: they are the connected
+        # components of the non-adjacency graph on the vertex set.
+        comps = _complement_components(R, verts)
+        if len(comps) != p or any(len(c) != q for c in comps):
             continue
         cid = {x: i for i, c in enumerate(comps) for x in c}
         if cid[v0] == cid[v1]:
             continue  # (v0, v1) must be a cross edge here
         out.append((tuple(verts), _canon_classes(comps)))
-    return out
-
-
-def _partite_q3_at_vertex(R: _Residual, p: int, q: int, v: int) -> list[tuple]:
-    t = (p - 1) * q
-    nbrs = R.neighbors(v)
-    if len(nbrs) < t:
-        return []
-    out = []
-    for u in nbrs[:2]:
-        out.extend(_partite_q3_at_edge(R, p, q, v, u))
     return out
 
 
@@ -364,13 +319,24 @@ def _kind_for_shape(p: int, q: int) -> str:
 
 
 def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
-    if not R.alive[v]:
-        return []
-    if q == 1:
-        return _cliques_at_vertex(R, p - 1, v)
+    """Every K^p_q of the residual graph containing the alive vertex v.
+
+    Degrees are at most t+1, so such a subgraph contains one of any two
+    neighbours of v; cliques and q >= 3 are searched through the edges to
+    the first two.
+    """
     if q == 2:
         return _partite_q2_at_vertex(R, p, v)
-    return _partite_q3_at_vertex(R, p, q, v)
+    nbrs = R.neighbors(v)
+    if len(nbrs) < (p - 1) * q:
+        return []
+    out = []
+    for u in nbrs[:2]:
+        if q == 1:
+            out.extend(_cliques_at_edge(R, p - 1, v, u))
+        else:
+            out.extend(_partite_q3_at_edge(R, p, q, v, u))
+    return out
 
 
 def find_partner(R: _Residual, v: int, p: int, q: int):
@@ -389,30 +355,13 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
     return None
 
 
-def _cluster_of(R: _Residual, seed_verts, p: int, q: int) -> list[tuple]:
-    """Every K^p_q of the residual graph touching the seed vertex set."""
-    out = []
-    for x in seed_verts:
-        out.extend(_find_at(R, x, p, q))
-    return out
-
-
-def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats):
-    """Algorithm sweep for one shape: returns list of (vertices, classes)
-    plus the list of intersecting index pairs (into that list)."""
+def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
+    """Algorithm sweep for one shape: every K^p_q of ``g`` once, as
+    (vertices, classes) pairs in the order they are first found."""
     t = (p - 1) * q
     R = _Residual(g, stats)
     R.strip_low_degree(t)
-    found: dict[tuple, int] = {}
-    ordered: list[tuple] = []
-    pairs: list[tuple[int, int]] = []
-
-    def emit(rec: tuple) -> int:
-        if rec not in found:
-            found[rec] = len(ordered)
-            ordered.append(rec)
-        return found[rec]
-
+    found: dict[tuple, None] = {}  # an insertion-ordered set
     queue = [v for v in range(g.n) if R.alive[v]]
     qi = 0
     while qi < len(queue):
@@ -437,25 +386,19 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats):
         base = hits[0]
         # The residual graph is unchanged since v1 and v2 were searched, so
         # their hits stand; search only the rest of the base subgraph.
-        rest = [x for x in base[0] if x != v1 and x != v2]
-        cluster = hits + _cluster_of(R, rest, p, q)
-        ids = sorted({emit(rec) for rec in cluster})
-        for i, a in enumerate(ids):
-            va = set(ordered[a][0])
-            for b in ids[i + 1:]:
-                if va & set(ordered[b][0]):
-                    pairs.append((a, b))
+        cluster = hits + [
+            rec for x in base[0] if x != v1 and x != v2 for rec in _find_at(R, x, p, q)
+        ]
+        found.update(dict.fromkeys(cluster))
         for x in base[0]:
             R.remove(x)
         R.strip_low_degree(t)
         qi += 1
         # Survivors of the emitted cluster may host further subgraphs;
         # re-queue them (and the probe pair) for another look.
-        repush = {v1, v2}
-        for rid in ids:
-            repush.update(ordered[rid][0])
+        repush = {v1, v2}.union(*(rec[0] for rec in cluster))
         queue.extend(x for x in sorted(repush) if R.alive[x])
-    return ordered, pairs
+    return list(found)
 
 
 def find_all_forbidden(
@@ -470,39 +413,23 @@ def find_all_forbidden(
     """
     stats = DetectionStats()
     records: list[ForbiddenSubgraph] = []
-    inter = IntersectionRecord()
     # _run_shape emits each record once, and every shape of a variant has
     # its own kind, so records of different shapes never coincide.
     for (p, q) in variant.shapes(g.t):
         kind = _kind_for_shape(p, q)
-        recs, pairs = _run_shape(g, p, q, stats)
-        base = len(records)
-        for (verts, classes) in recs:
-            records.append(
-                ForbiddenSubgraph(
-                    kind, verts, classes,
-                    _subgraph_weight(g, verts, classes, kind), id=len(records),
-                )
-            )
-        for (a, b) in pairs:
-            inter.add(base + a, base + b)
+        for (verts, classes) in _run_shape(g, p, q, stats):
+            h = ForbiddenSubgraph(kind, verts, classes, 0, id=len(records))
+            h.weight = _subgraph_weight(g, h)
+            records.append(h)
 
-    # Cross-kind sharing is only possible between a clique and a biclique
-    # at t = 3, where the clique's vertex set sits inside the biclique's.
-    if variant.is_restricted() and g.t == 3:
-        by_vertex: dict[int, list[int]] = {}
-        for r in records:
-            if r.kind == BICLIQUE:
-                for x in r.vertices:
-                    by_vertex.setdefault(x, []).append(r.id)
-        for r in records:
-            if r.kind != CLIQUE:
-                continue
-            cand = set(by_vertex.get(r.vertices[0], []))
-            for x in r.vertices[1:]:
-                cand &= set(by_vertex.get(x, []))
-            for b in cand:
-                inter.add(r.id, b)
+    # Two records intersect exactly when some vertex lies on both.
+    on_vertex: dict[int, list[int]] = {}
+    for r in records:
+        for x in r.vertices:
+            on_vertex.setdefault(x, []).append(r.id)
+    inter = IntersectionRecord()
+    for ids in on_vertex.values():
+        inter.pairs.update(itertools.combinations(ids, 2))
     return records, inter, stats
 
 

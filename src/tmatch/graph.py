@@ -32,20 +32,12 @@ class Graph:
 
     __slots__ = ("n", "t", "edges", "adj", "_edge_index", "unweighted")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Sequence[tuple[int, int, int]],
-        t: int,
-        *,
-        weights_doubled: bool = False,
-    ):
+    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]], t: int):
         """Build a graph from ``(u, v, weight)`` triples.
 
-        Weights are non-negative integers in input units unless
-        ``weights_doubled`` is set (used when re-wrapping internal data).
-        Raises ``ValidationError`` for loops, parallel edges, negative
-        weights, degrees above ``t+1``, or ``t < 3``.
+        Weights are non-negative integers in input units.  Raises
+        ``ValidationError`` for loops, parallel edges, negative weights,
+        degrees above ``t+1``, or ``t < 3``.
         """
         if t < 3:
             raise ValidationError(f"degree parameter t={t} is not supported; t must be >= 3")
@@ -60,9 +52,8 @@ class Graph:
         # cardinality track.
         self.unweighted = True
         for (u, v, w) in edges:
-            wd = w if weights_doubled else 2 * w
-            self._add_edge(u, v, wd)
-            self.unweighted = self.unweighted and wd == 2
+            self._add_edge(u, v, 2 * w)
+            self.unweighted = self.unweighted and w == 1
         for v in range(n):
             if len(self.adj[v]) > t + 1:
                 raise ValidationError(

@@ -60,18 +60,6 @@ class LbMatching:
         return len(self.edge_ids)
 
 
-def _normalize(mg: MultiGraph, cap: CapacityVector) -> tuple[list[int], list[int]]:
-    degs = [mg.degree(v) for v in range(mg.n)]
-    lower = list(cap.lower)
-    upper = [min(cap.upper[v], degs[v]) for v in range(mg.n)]
-    for v in range(mg.n):
-        if lower[v] > upper[v]:
-            raise InfeasibleError(
-                f"vertex {v} needs {lower[v]} incident edges but at most {upper[v]} fit"
-            )
-    return lower, upper
-
-
 def solve_lb(
     mg: MultiGraph,
     cap: CapacityVector,
@@ -85,7 +73,8 @@ def solve_lb(
     edge weights, which lets callers apply objective transforms).  Raises
     InfeasibleError when no (l,b)-matching exists.
     """
-    lower, upper = _normalize(mg, cap)
+    lower = list(cap.lower)
+    upper = [min(cap.upper[v], mg.degree(v)) for v in range(mg.n)]
     sign = 1 if maximize else -1
     w_eff = [sign * w for w in weights]
 
@@ -213,10 +202,11 @@ def solve_min_cardinality_lb(mg: MultiGraph, cap: CapacityVector) -> LbMatching:
     return solve_lb(mg, cap, [1] * mg.m, maximize=False)
 
 
-def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
+def greedy_feasible(aux: AuxiliaryInstance) -> tuple[list[int], list[int]]:
     """A small feasible matching of the auxiliary instance: one incident
     original edge per full-degree vertex plus a constant number of edges
-    per gadget, chosen to meet every exact gadget capacity."""
+    per gadget, chosen to meet every exact gadget capacity.  Returns the
+    picked edge ids and the degree of every vertex under them."""
     mg = aux.graph
     g = aux.original
     lower = aux.capacities.lower
@@ -260,7 +250,7 @@ def greedy_feasible(aux: AuxiliaryInstance) -> list[int]:
         up = aux.capacities.upper[v]
         if not (lo <= deg[v] <= up):
             raise InternalError(f"greedy start infeasible at vertex {v}")
-    return picked
+    return picked, deg
 
 
 def solve_min_cardinality_capped(aux: AuxiliaryInstance) -> LbMatching:
@@ -271,14 +261,9 @@ def solve_min_cardinality_capped(aux: AuxiliaryInstance) -> LbMatching:
     within the caps is still globally minimum, and the capped expansion is
     much smaller.
     """
-    start = greedy_feasible(aux)
-    mg = aux.graph
-    deg = [0] * mg.n
-    for e in start:
-        deg[mg.edges[e].u] += 1
-        deg[mg.edges[e].v] += 1
+    _, deg = greedy_feasible(aux)
     capped = CapacityVector(list(aux.capacities.lower), deg)
-    return solve_min_cardinality_lb(mg, capped)
+    return solve_min_cardinality_lb(aux.graph, capped)
 
 
 def count_weight_identity(aux: AuxiliaryInstance, m: LbMatching) -> int:

@@ -62,15 +62,6 @@ def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: PotentialFunction)
     return True
 
 
-def _extract_clique(g: Graph, verts: tuple[int, ...]) -> dict[int, int]:
-    a, b, c = verts[0], verts[1], verts[2]
-    ra, _, _ = triangle_potential(_wd(g, a, b), _wd(g, a, c), _wd(g, b, c))
-    out = {a: ra}
-    for x in verts[1:]:
-        out[x] = _wd(g, a, x) - ra
-    return out
-
-
 def _extract_biclique(g: Graph, classes) -> dict[int, int]:
     (c1, c2) = classes
     a1, b1 = c1[0], c2[0]
@@ -89,7 +80,7 @@ def _extract_biclique(g: Graph, classes) -> dict[int, int]:
 
 def _extract_partite(g: Graph, classes) -> dict[int, int]:
     # With three or more classes, three mutually adjacent representatives
-    # pin the potentials exactly as in a clique.
+    # pin the potentials; a clique is the case of singleton classes.
     a, b, c = classes[0][0], classes[1][0], classes[2][0]
     ra, _, _ = triangle_potential(_wd(g, a, b), _wd(g, a, c), _wd(g, b, c))
     out = {a: ra}
@@ -115,7 +106,7 @@ def extract_potential(
     not admit potentials on ``h``.
     """
     if h.kind == CLIQUE:
-        asg = _extract_clique(g, h.vertices)
+        asg = _extract_partite(g, [(v,) for v in h.vertices])
     elif h.kind == BICLIQUE:
         asg = _extract_biclique(g, h.classes)
     elif h.kind == PARTITE:

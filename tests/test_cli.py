@@ -122,6 +122,58 @@ def test_generate_weighted_roundtrip(tmp_path, capsys):
     assert main(["solve", path, "--oracle-check", "--json"]) == 0
 
 
+def test_generate_kpq_dense_roundtrip(tmp_path, capsys):
+    rc = main([
+        "generate", "--n", "2", "--variant", "kpq", "--p", "3", "--q", "2",
+        "--plant", "dense", "--seed", "5",
+    ])
+    assert rc == 0
+    inst = capsys.readouterr().out
+    assert inst.splitlines()[:2] == ["8 15 4 kpq", "3 2"]
+    assert main(["solve", write(tmp_path, inst, "dense.txt"), "--oracle-check"]) == 0
+    capsys.readouterr()
+    assert main(["generate", "--n", "8", "--variant", "kpq"]) == 2
+    assert main(["generate", "--n", "8", "--variant", "kpq", "--p", "3"]) == 2
+    assert "needs --p and --q" in capsys.readouterr().err
+
+
+def test_solve_unweighted_flag_ignores_weights(tmp_path, capsys):
+    rc = main([
+        "generate", "--n", "8", "-t", "3", "--seed", "4", "--plant", "biclique",
+        "--weighted", "--pot-lo", "1", "--pot-hi", "6",
+    ])
+    assert rc == 0
+    weighted = capsys.readouterr().out
+    lines = weighted.splitlines()
+    assert any(ln.split()[2] != "1" for ln in lines[1:])
+    plain = "\n".join([lines[0]] + [" ".join(ln.split()[:2]) for ln in lines[1:]]) + "\n"
+    assert main(["solve", write(tmp_path, weighted, "w.txt"), "--json", "--unweighted"]) == 0
+    got = capsys.readouterr().out
+    assert main(["solve", write(tmp_path, plain, "u.txt"), "--json"]) == 0
+    assert got == capsys.readouterr().out
+
+
+def test_dump_expanded_reports_sizes(tmp_path, capsys):
+    path = write(tmp_path, K4)
+    assert main(["solve", path]) == 0
+    plain = capsys.readouterr()
+    assert main(["solve", path, "--dump-expanded"]) == 0
+    dumped = capsys.readouterr()
+    assert dumped.out == plain.out
+    assert dumped.err == "expanded vertices=10 aux_edges=2 gadgets=1\n"
+
+
+def test_detect_dense_cluster_line(tmp_path, capsys):
+    k6 = "6 15 4 kpq\n3 2\n" + "\n".join(
+        f"{u} {v}" for u in range(6) for v in range(u + 1, 6)
+    ) + "\n"
+    assert main(["detect", write(tmp_path, k6)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "dense vertices=0,1,2,3,4,5 core=0,1,2,3,4,5 members=15"
+    assert out[-1] == "total 16"
+    assert sum(ln.startswith("partite ") for ln in out) == 15
+
+
 def test_dump_aux(tmp_path, capsys):
     rc = main(["solve", write(tmp_path, K4), "--dump-aux"])
     assert rc == 0

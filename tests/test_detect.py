@@ -40,10 +40,12 @@ def find_kpq_at(g, v, p, q):
     """All K^p_q's of ``g`` containing vertex ``v``, probed on a fresh
     residual graph: the exhaustive reference for the sweep."""
     kind = _kind_for_shape(p, q)
-    return [
-        ForbiddenSubgraph(kind, verts, classes, _subgraph_weight(g, verts, classes, kind))
-        for (verts, classes) in sorted(set(_find_at(residual(g), v, p, q)))
-    ]
+    out = []
+    for (verts, classes) in sorted(set(_find_at(residual(g), v, p, q))):
+        h = ForbiddenSubgraph(kind, verts, classes, 0)
+        h.weight = _subgraph_weight(g, h)
+        out.append(h)
+    return out
 
 
 def t_core(g, removed, t):

@@ -118,11 +118,12 @@ def test_greedy_feasible_on_every_gadget_kind():
     for g, variant in cases:
         records, _, potentials, _ = prepare(g, variant)
         aux = build_auxiliary(g, records, potentials)
-        picked = greedy_feasible(aux)  # raises if infeasible
+        picked, returned = greedy_feasible(aux)  # raises if infeasible
         deg = [0] * aux.graph.n
         for e in picked:
             deg[aux.graph.edges[e].u] += 1
             deg[aux.graph.edges[e].v] += 1
+        assert returned == deg
         for v in range(aux.graph.n):
             assert aux.capacities.lower[v] <= deg[v] <= aux.capacities.upper[v]
 
@@ -185,7 +186,6 @@ def test_dense_rewire_translation():
     # Both selected half-edges on the cluster center and no matched edge
     # inside the core: two core-boundary edges are rewired through the
     # center.  The matching is handcrafted (feasible, not optimal).
-    from tmatch.gadgets import build_auxiliary
     from tmatch.lb import LbMatching
     from tmatch.recover import matching_to_cotmatching
 
@@ -216,7 +216,6 @@ def test_dense_rewire_translation():
     diags = []
     cot = matching_to_cotmatching(aux, m, diags)
     assert any(d["rule"] == "dense-rewire" for d in diags)
-    member = records[records[-1].member_ids[0]] if records[-1].kind == "dense" else None
     dense = next(r for r in records if r.kind == "dense")
     for mid in dense.member_ids:
         assert cot.covers(records[mid])
