@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,9 +16,15 @@ from tmatch.detect import (
     find_dense,
     find_partner,
 )
-from tmatch.generators import plant_forbidden, random_bounded
+from tmatch.generators import (
+    plant_forbidden,
+    random_bounded,
+    reweighted,
+    vertex_induced_weights,
+)
 from tmatch.graph import Graph
 from tmatch.oracle import brute_force_subgraphs
+from tmatch.pipeline import forbidden_records
 from tmatch.variant import Variant
 
 from .conftest import complete_graph, octahedron
@@ -358,3 +365,93 @@ def test_classify_weight_order_keeps_heavier():
     assert flags == [False, True]
     heavy = max(records, key=lambda r: r.weight)
     assert heavy.problematic
+
+
+# --- plants joined to a random part ------------------------------------------
+
+# The shapes and plant sizes of the detection benchmark:
+# (shape, t, variant, p, q, vertices per plant).
+BENCH_SHAPES = [
+    ("clique", 3, Variant.restricted(), 0, 0, 4),
+    ("biclique", 3, Variant.restricted(), 0, 0, 6),
+    ("dense", 4, Variant.kpq(3, 2), 3, 2, 6),
+    ("partite", 6, Variant.kpq(3, 3), 3, 3, 9),
+    ("clique_pair", 4, Variant.kpq(5, 1), 0, 0, 6),
+]
+
+
+def joined_plants(n, shape, t, p, q, size, plants, seed):
+    """``plants`` copies of a shape on a random part of n - plants*size
+    vertices, then joined to it: each plant vertex with spare degree gets
+    an edge to a random-part vertex with spare degree, with probability
+    one half.  Every K6 of a dense plant has full degree, so every other
+    dense plant first loses one edge."""
+    rng = random.Random(seed)
+    base = random_bounded(n - plants * size, t, 0.5, seed)
+    g = plant_forbidden(base, shape, plants, seed + 1, p=p, q=q)
+    edges = {(u, v) for (u, v, _) in g.edges}
+    if shape == "dense":
+        for j in range(0, plants, 2):
+            a = base.n + j * size
+            edges.discard((a, a + 1))
+    deg = [0] * g.n
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for x in range(base.n, g.n):
+        if deg[x] <= t and rng.random() < 0.5:
+            spare = [y for y in range(base.n) if deg[y] <= t and (y, x) not in edges]
+            if spare:
+                y = rng.choice(spare)
+                edges.add((y, x))
+                deg[x] += 1
+                deg[y] += 1
+    return Graph(g.n, [(u, v, 1) for (u, v) in sorted(edges)], t)
+
+
+def test_driver_matches_probing_on_joined_plants():
+    # Joined plants have base vertices with neighbours outside the base,
+    # whose search may find subgraphs the first search did not.
+    for seed in range(2):
+        for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
+            g = joined_plants(200, shape, t, p, q, size, 10, 100 * seed + i)
+            assert_driver_matches_probing(g, var)
+
+
+# --- golden record order ------------------------------------------------------
+
+# One seeded instance per benchmark shape at n = 400 (ten plants of each),
+# built as the detection benchmark builds its n = 2000 ones, and the same
+# shapes joined to their random part.  The digests pin every record's
+# kind, vertex set, classes, core, members and id, in the order detection
+# returns them.
+GOLDEN_PLANTED_SHA256 = "8f1e386b8d17e13cdf3d8e3aaea94f0eea18edb22146f99d7d4f18e5170ab45b"
+GOLDEN_JOINED_SHA256 = "41cec2247cc16549a49cc2011c0a9d2294417dfa2fb2e719d3ee6335ee9e9c70"
+
+
+def record_digest(graphs):
+    digest = hashlib.sha256()
+    for (g, var) in graphs:
+        rows = tuple(
+            (r.kind, r.vertices, r.classes, r.core, r.member_ids, r.id)
+            for r in forbidden_records(g, var)
+        )
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+def test_record_order_golden():
+    planted = []
+    for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
+        s = 4000 + i
+        base = random_bounded(400 - 10 * size, t, 0.5, s)
+        g = plant_forbidden(base, shape, 10, s + 1, p=p, q=q)
+        records, _, _ = find_all_forbidden(g, var)
+        g = reweighted(g, vertex_induced_weights(g, records, (0, 5), (0, 6), s + 2))
+        planted.append((g, var))
+    assert record_digest(planted) == GOLDEN_PLANTED_SHA256
+    joined = [
+        (joined_plants(400, shape, t, p, q, size, 10, 5000 + i), var)
+        for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES)
+    ]
+    assert record_digest(joined) == GOLDEN_JOINED_SHA256
