@@ -13,6 +13,14 @@ number of edges for fixed t.  Vertices of residual degree below t are
 peeled from a worklist of the vertices whose degree dropped, never by a
 scan of the whole graph, so all peeling together costs O(n + m).
 
+After a hit, the other vertices of the first subgraph found (the base)
+are searched too, so that every subgraph sharing a vertex with it is
+listed before the base is removed.  A base vertex is skipped when its
+alive neighbours and all of theirs lie in the base: every forbidden
+subgraph lies within distance two of each of its vertices, so one through
+such a vertex has the base's vertex set and contains the vertex searched
+first, whose search already listed it.
+
 ``DetectionStats.probe_ops`` meters the work so tests can assert the
 linear scaling: every adjacency list read, every adjacency test, and every
 vertex the peeling pops from its worklist or deletes (with its list).
@@ -36,9 +44,10 @@ DENSE = "dense"
 class ForbiddenSubgraph:
     """One forbidden subgraph (or a dense cluster of them).
 
-    ``classes`` is empty for cliques and dense clusters.  ``core`` is only
-    populated for dense clusters: the vertices all of whose neighbors stay
-    inside the cluster.  ``weight`` is in doubled units.
+    ``classes`` is empty for cliques and dense clusters.  ``core`` and
+    ``edge_ids`` are only populated for dense clusters: the vertices all of
+    whose neighbors stay inside the cluster, and the ids of the edges
+    among its vertices.  ``weight`` is in doubled units.
     """
 
     kind: str
@@ -49,6 +58,7 @@ class ForbiddenSubgraph:
     problematic: bool = False
     core: tuple[int, ...] = ()
     member_ids: tuple[int, ...] = ()  # dense only: absorbed partite records
+    edge_ids: tuple[int, ...] = ()  # dense only: every edge among the vertices
     in_dense: int = -1  # partite only: id of the dense record absorbing it
 
     def key(self) -> tuple:
@@ -355,6 +365,15 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
     return None
 
 
+def _enclosed(R: _Residual, verts: tuple[int, ...]) -> set[int]:
+    """The vertices of ``verts`` whose alive neighbours, and all of their
+    alive neighbours, lie in ``verts``: no K^p_q through one leaves it."""
+    vset = set(verts)
+    nbrs = {x: R.neighbors(x) for x in verts}
+    leaky = {x for x in verts if any(u not in vset for u in nbrs[x])}
+    return {x for x in verts if x not in leaky and leaky.isdisjoint(nbrs[x])}
+
+
 def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
     """Algorithm sweep for one shape: every K^p_q of ``g`` once, as
     (vertices, classes) pairs in the order they are first found."""
@@ -376,18 +395,30 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
             qi += 1
             continue
         v2 = partner
-        hits = _find_at(R, v1, p, q) + _find_at(R, v2, p, q)
-        if not hits:
-            for x in [v1, v2] + R.common(v1, v2):
-                R.remove(x)
-            R.strip_low_degree(t)
-            qi += 1
-            continue
+        # The first hit is the base.  Every subgraph through an enclosed
+        # base vertex spans the base, so it contains the vertex searched
+        # first and is already a hit: search only the other vertices.  The
+        # residual graph stays unchanged until the base is removed.
+        hits = _find_at(R, v1, p, q)
+        if hits:
+            enclosed = _enclosed(R, hits[0][0])
+            if v2 not in enclosed:
+                hits += _find_at(R, v2, p, q)
+        else:
+            hits = _find_at(R, v2, p, q)
+            if not hits:
+                for x in [v1, v2] + R.common(v1, v2):
+                    R.remove(x)
+                R.strip_low_degree(t)
+                qi += 1
+                continue
+            enclosed = _enclosed(R, hits[0][0])
         base = hits[0]
-        # The residual graph is unchanged since v1 and v2 were searched, so
-        # their hits stand; search only the rest of the base subgraph.
         cluster = hits + [
-            rec for x in base[0] if x != v1 and x != v2 for rec in _find_at(R, x, p, q)
+            rec
+            for x in base[0]
+            if x != v1 and x != v2 and x not in enclosed
+            for rec in _find_at(R, x, p, q)
         ]
         found.update(dict.fromkeys(cluster))
         for x in base[0]:
@@ -460,13 +491,14 @@ def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubg
             raise InternalError(
                 f"dense cluster on {verts} has invalid core {core}"
             )
-        weight = 0
-        for (a, b) in itertools.combinations(verts, 2):
-            eid = g.edge_id(a, b)
-            if eid is not None:
-                weight += g.weight_doubled(eid)
+        edge_ids = tuple(
+            e for e in itertools.starmap(g.edge_id, itertools.combinations(verts, 2))
+            if e is not None
+        )
+        weight = sum(g.weight_doubled(e) for e in edge_ids)
         rec = ForbiddenSubgraph(
-            DENSE, verts, (), weight, id=next_id, core=core, member_ids=tuple(sorted(ids))
+            DENSE, verts, (), weight, id=next_id, core=core,
+            member_ids=tuple(sorted(ids)), edge_ids=edge_ids,
         )
         for mid in ids:
             records[mid].in_dense = rec.id
@@ -478,8 +510,9 @@ def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubg
 def classify_problematic(
     records: list[ForbiddenSubgraph],
     inter: IntersectionRecord,
-) -> None:
-    """Mark each non-dense record problematic or not, in place.
+) -> list[list[int]]:
+    """Mark each non-dense record problematic or not, in place, and return
+    the ids of the records intersecting each record.
 
     A subgraph is unproblematic when it shares a vertex with a partner of
     the same kind of at least its weight, or (cliques only) with any
@@ -514,3 +547,4 @@ def classify_problematic(
                     "problematic subgraphs must be disjoint"
                 )
             taken[v] = r.id
+    return nbrs

@@ -30,7 +30,8 @@ def validate_instance(g: Graph, variant: Variant) -> None:
 def prepare(g: Graph, variant: Variant):
     """Detection, potential extraction and classification for a solve.
 
-    Returns (records incl. dense, intersections, potentials, stats).
+    Returns (records incl. dense, the ids of the records intersecting
+    each record, potentials, stats).
     Raises NotVertexInducedError if the weighted instance fails the
     vertex-induced precondition on any forbidden subgraph.
     """
@@ -55,15 +56,15 @@ def prepare(g: Graph, variant: Variant):
             potentials[r.id] = extract_potential(g, r, members=members)
 
     all_records = records + dense
-    _detect.classify_problematic(all_records, inter)
-    return all_records, inter, potentials, stats
+    nbrs = _detect.classify_problematic(all_records, inter)
+    return all_records, nbrs, potentials, stats
 
 
 def solve(g: Graph, variant: Variant) -> SolveResult:
     """Maximum weight (or size) t-matching avoiding the variant's
     forbidden subgraphs."""
     validate_instance(g, variant)
-    records, inter, potentials, det_stats = prepare(g, variant)
+    records, nbrs, potentials, det_stats = prepare(g, variant)
 
     aux = build_auxiliary(g, records, potentials)
 
@@ -77,9 +78,7 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
 
     aux_weight = sum(aux.graph.edges[e].w for e in m.edge_ids)
     cot = _recover.matching_to_cotmatching(aux, m, diagnostics)
-    cot = _recover.cover_unproblematic(
-        g, cot, records, inter.neighbors(len(records)), diagnostics
-    )
+    cot = _recover.cover_unproblematic(g, cot, records, nbrs, diagnostics)
     # Both directions of the complement/matching correspondence hold at
     # the optimum, so the recovered complement must land exactly on the
     # auxiliary optimum; anything else is a bug.

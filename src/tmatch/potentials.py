@@ -46,20 +46,13 @@ def _wd(g: Graph, u: int, v: int) -> int:
 
 
 def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: PotentialFunction) -> bool:
-    """True iff pf(u) + pf(v) equals the doubled weight on every edge of h."""
+    """True iff pf(u) + pf(v) equals the doubled weight on every edge of h
+    (of a dense cluster: on every edge among its vertices)."""
     if h.kind == DENSE:
-        pairs = [
-            (u, v)
-            for i, u in enumerate(h.vertices)
-            for v in h.vertices[i + 1:]
-            if g.has_edge(u, v)
-        ]
+        edges = (g.edges[e] for e in h.edge_ids)
     else:
-        pairs = h.edge_pairs()
-    for (u, v) in pairs:
-        if pf.value(u) + pf.value(v) != _wd(g, u, v):
-            return False
-    return True
+        edges = ((u, v, _wd(g, u, v)) for (u, v) in h.edge_pairs())
+    return all(pf.value(u) + pf.value(v) == wd for (u, v, wd) in edges)
 
 
 def _extract_biclique(g: Graph, classes) -> dict[int, int]:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+from tmatch import detect
 from tmatch.detect import (
     BICLIQUE,
     CLIQUE,
@@ -416,6 +417,24 @@ def test_driver_matches_probing_on_joined_plants():
         for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
             g = joined_plants(200, shape, t, p, q, size, 10, 100 * seed + i)
             assert_driver_matches_probing(g, var)
+
+
+def test_enclosed_base_vertices_are_not_searched(monkeypatch):
+    # Isolated K6's over an empty base: every subgraph through a vertex of
+    # the first K^3_2 found spans its K6, so the vertex that found it is
+    # the only one searched.
+    calls = []
+    find_at = detect._find_at
+
+    def counting(R, v, p, q):
+        calls.append(v)
+        return find_at(R, v, p, q)
+
+    monkeypatch.setattr(detect, "_find_at", counting)
+    g = plant_forbidden(Graph(0, [], 4), "dense", 5, 3, p=3, q=2)
+    records, _, _ = find_all_forbidden(g, Variant.kpq(3, 2))
+    assert len(records) == 5 * 15
+    assert sorted(v // 6 for v in calls) == list(range(5))
 
 
 # --- golden record order ------------------------------------------------------

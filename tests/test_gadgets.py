@@ -9,7 +9,7 @@ from .conftest import complete_graph
 
 
 def build(g, variant):
-    records, inter, potentials, _ = prepare(g, variant)
+    records, _, potentials, _ = prepare(g, variant)
     return build_auxiliary(g, records, potentials), records
 
 

@@ -72,7 +72,7 @@ def test_cross_kind_repair_flip():
     edges |= {(0, 1), (3, 4)}
     g = Graph(6, [(u, v, 1) for (u, v) in sorted(edges)], 3)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     start = [g.edge_id(*pr) for pr in [(0, 5), (1, 5), (2, 3), (2, 4)]]
     cot = CoTMatching(g, start)
     assert cot.is_cotmatching()
@@ -80,7 +80,7 @@ def test_cross_kind_repair_flip():
     assert not cot.covers(clique)
     before = cot.weight_doubled()
     diags = []
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    cot = cover_unproblematic(g, cot, records, nbrs, diags)
     assert all(cot.covers(r) for r in records)
     assert cot.weight_doubled() <= before
     assert any(d.get("rule") == "clique-biclique-exchange" for d in diags)

@@ -18,21 +18,21 @@ def test_repair_k5_reaches_oracle_cover():
     # a 2-edge perfect-ish cover and let repair finish the job.
     g = complete_graph(5, 3)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     start = [g.edge_id(0, 1), g.edge_id(2, 3), g.edge_id(0, 4)]
     cot = CoTMatching(g, start)
     assert cot.is_cotmatching()
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), [])
+    cot = cover_unproblematic(g, cot, records, nbrs, [])
     assert all(cot.covers(r) for r in records)
     assert cot.is_cotmatching()
 
 
 def test_repair_noop_when_covered(k4):
     records, inter, _ = find_all_forbidden(k4, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     # a single edge covers the only clique
     cot = CoTMatching(k4, [0])
-    out = cover_unproblematic(k4, cot, records, inter.neighbors(len(records)), [])
+    out = cover_unproblematic(k4, cot, records, nbrs, [])
     assert out.ids == {0}
 
 
@@ -48,7 +48,7 @@ def test_repair_weighted_shift_picks_cheap_edge():
     weights = [pots[u] + pots[v] for (u, v, _) in g0.edges]
     g = reweighted(g0, weights)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     light = min(records, key=lambda r: r.weight)
     heavy = max(records, key=lambda r: r.weight)
     assert heavy.problematic and not light.problematic
@@ -60,7 +60,7 @@ def test_repair_weighted_shift_picks_cheap_edge():
     assert cot.is_cotmatching() and not cot.covers(light)
     before = cot.weight_doubled()
     diags = []
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    cot = cover_unproblematic(g, cot, records, nbrs, diags)
     assert cot.covers(light) and cot.covers(heavy)
     assert cot.weight_doubled() <= before
     assert any(d["rule"] == "clique-shift" for d in diags)
@@ -79,14 +79,14 @@ def test_repair_partite_shift_moves_edge_off_heavy_vertex():
     pots[heavy_vertex] = 3
     g = reweighted(g0, [pots[u] + pots[v] for (u, v, _) in g0.edges])
     records, inter, _ = find_all_forbidden(g, Variant.kpq(3, 3))
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     light = next(r for r in records if heavy_vertex not in r.vertices)
     assert not any(r.problematic for r in records)
     cot = CoTMatching(g, [eid for (_, eid) in g.adj[heavy_vertex]])
     assert cot.is_cotmatching() and not cot.covers(light)
     before = cot.weight_doubled()
     diags = []
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    cot = cover_unproblematic(g, cot, records, nbrs, diags)
     assert all(cot.covers(r) for r in records)
     assert cot.weight_doubled() <= before
     assert any(d["rule"] == "partite-shift" for d in diags)
@@ -134,7 +134,7 @@ def test_biclique_shift_flip():
     edges = [(a, b, 1) for a in range(3) for b in (3, 4, 5, 6)]
     g = Graph(7, edges, 3)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     # one biclique per choice of three right-side vertices
     assert len(records) == 4 and not any(r.problematic for r in records)
     h = next(r for r in records if 6 not in r.vertices)
@@ -142,7 +142,7 @@ def test_biclique_shift_flip():
     cot = CoTMatching(g, start)
     assert cot.is_cotmatching() and not cot.covers(h)
     diags = []
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    cot = cover_unproblematic(g, cot, records, nbrs, diags)
     assert all(cot.covers(r) for r in records)
     assert any(d["rule"] == "biclique-shift" for d in diags)
 
@@ -152,7 +152,7 @@ def test_biclique_exchange_flip():
     # edges.
     g = plant_forbidden(Graph(0, [], 3), "biclique_pair", 1, 0)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    classify_problematic(records, inter)
+    nbrs = classify_problematic(records, inter)
     assert len(records) == 2
     h, other = records
     shared = set(h.vertices) & set(other.vertices)
@@ -167,7 +167,7 @@ def test_biclique_exchange_flip():
     cot = CoTMatching(g, start)
     assert cot.is_cotmatching() and not cot.covers(h) and cot.covers(other)
     diags = []
-    cot = cover_unproblematic(g, cot, records, inter.neighbors(len(records)), diags)
+    cot = cover_unproblematic(g, cot, records, nbrs, diags)
     assert all(cot.covers(r) for r in records)
     assert any(d["rule"] == "biclique-exchange" for d in diags)
 
