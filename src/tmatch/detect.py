@@ -83,13 +83,6 @@ class IntersectionRecord:
 
     pairs: set[tuple[int, int]] = field(default_factory=set)
 
-    def neighbors(self, count: int) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(count)]
-        for (a, b) in self.pairs:
-            out[a].append(b)
-            out[b].append(a)
-        return out
-
 
 @dataclass
 class DetectionStats:
@@ -519,7 +512,10 @@ def classify_problematic(
     biclique.  Dense clusters are handled separately and their members
     always end up unproblematic via the equal-weight rule.
     """
-    nbrs = inter.neighbors(len(records))
+    nbrs: list[list[int]] = [[] for _ in records]
+    for (a, b) in inter.pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     for r in records:
         if r.kind == DENSE:
             continue
