@@ -10,6 +10,17 @@ vertex and per (possibly nested) blossom, so every solve emits a
 complementary-slackness certificate that is checked independently of the
 search itself.
 
+The dual step takes its edge candidates from one list per stage: every
+non-tight edge met while scanning an S-vertex.  At the step both ends'
+top-level labels are re-read; an S-S edge between different blossoms
+bounds the step by half its slack, an edge from S to a free blossom by its
+slack, and any other edge is skipped.  This is exact: every edge of an
+S-vertex is scanned before a dual step (a vertex that turns S is queued
+and scanned), a tight edge to a free blossom is used when scanned, and the
+re-read catches a vertex freed by a mid-stage T-blossom expansion.  A step
+costs O(n) plus the edges scanned so far in the stage, so no least-slack
+edge lists are kept through blossom formation, and the method stays cubic.
+
 Inside the search, vertices are 0..n-1 and blossoms take the ids n..2n-1.
 Edge k has the two endpoints 2k and 2k+1; ``p ^ 1`` is the other end of
 endpoint p.
@@ -98,15 +109,14 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
     # leaves[b]: the vertices inside b, kept while b is in use.
     leaves: list[list[int] | None] = [[v] for v in range(n)] + [None] * n
     base = list(range(n)) + [-1] * n
-    # bestedge[x]: least-slack edge to an S-blossom (or, for a top-level
-    # S-blossom, to a different S-blossom), or -1.
-    bestedge = [-1] * nb
-    blossombest: list[list[int] | None] = [None] * nb
     unused = list(range(nb - 1, n - 1, -1))
     top = max(wt2, default=0)
     dual = [top // 2] * n + [0] * n
     allowed = [False] * (len(endpoint) // 2)
     queue: list[int] = []
+    # pending: the non-tight edges scanned from S-vertices this stage, the
+    # only edges the next dual step can make tight.
+    pending: list[int] = []
 
     # Warm start: every vertex dual is equal, so the heaviest edges are
     # tight; matching them greedily is the state zero-delta augmentations
@@ -127,7 +137,6 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
             b = inblossom[w]
             label[w] = label[b] = t
             labelend[w] = labelend[b] = p
-            bestedge[w] = bestedge[b] = -1
             if t == _S:
                 queue.extend(leaves[b])
                 return
@@ -192,27 +201,6 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
                 # A T-vertex inside a new S-blossom becomes an S-vertex.
                 queue.append(x)
             inblossom[x] = b
-        # Least-slack edges from b to each neighbouring S-blossom.
-        bestto: dict[int, int] = {}
-        for sub in path:
-            if blossombest[sub] is None:
-                ks = [p >> 1 for x in leaves[sub] for p in neighbend[x]]
-            else:
-                ks = blossombest[sub]
-            for kk in ks:
-                i = endpoint[2 * kk]
-                j = endpoint[2 * kk + 1]
-                if inblossom[j] == b:
-                    j = i
-                bj = inblossom[j]
-                if bj != b and label[bj] == _S:
-                    cur = bestto.get(bj)
-                    if cur is None or slack(kk) < slack(cur):
-                        bestto[bj] = kk
-            blossombest[sub] = None
-            bestedge[sub] = -1
-        blossombest[b] = list(bestto.values())
-        bestedge[b] = min(blossombest[b], key=slack, default=-1)
 
     def expand_blossom(b0: int, endstage: bool) -> None:
         work = [b0]
@@ -233,8 +221,6 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
             label[b] = labelend[b] = -1
             childs[b] = endps[b] = leaves[b] = None
             base[b] = -1
-            blossombest[b] = None
-            bestedge[b] = -1
             unused.append(b)
 
     def relabel_expanded_t(b: int) -> None:
@@ -262,7 +248,6 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
         bv = cb[j]
         label[endpoint[p ^ 1]] = label[bv] = _T
         labelend[endpoint[p ^ 1]] = labelend[bv] = p
-        bestedge[bv] = -1
         j += jstep
         # The other sub-blossoms become T only if reached from outside.
         while cb[j] != entry:
@@ -331,10 +316,9 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
 
     for _stage in range(n // 2 + 1):
         label[:] = [_FREE] * nb
-        bestedge[:] = [-1] * nb
-        blossombest[n:] = [None] * n
         allowed[:] = [False] * len(allowed)
         queue.clear()
+        pending.clear()
         # Every single vertex is the base of a top-level blossom: label S.
         for v in range(n):
             if mate[v] == -1:
@@ -358,49 +342,50 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
                     if bv == bw:
                         continue
                     if not allowed[k]:
-                        kslack = dual[v] + dual[w] - wt2[k]
-                        if kslack <= 0:
-                            allowed[k] = True
-                    if allowed[k]:
-                        lw = label[bw]
-                        if lw == _FREE:
-                            assign_label(w, _T, p ^ 1)
-                        elif lw == _S:
-                            found = scan_blossom(v, w)
-                            if found >= 0:
-                                add_blossom(found, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == _FREE:
-                            # w sits in a T-blossom and is reached here first.
-                            label[w] = _T
-                            labelend[w] = p ^ 1
-                    elif label[bw] == _S:
-                        if bestedge[bv] == -1 or kslack < slack(bestedge[bv]):
-                            bestedge[bv] = k
+                        if dual[v] + dual[w] - wt2[k] > 0:
+                            pending.append(k)
+                            continue
+                        allowed[k] = True
+                    lw = label[bw]
+                    if lw == _FREE:
+                        assign_label(w, _T, p ^ 1)
+                    elif lw == _S:
+                        found = scan_blossom(v, w)
+                        if found >= 0:
+                            add_blossom(found, k)
+                        else:
+                            augment_matching(k)
+                            augmented = True
+                            break
                     elif label[w] == _FREE:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
+                        # w sits in a T-blossom and is reached here first.
+                        label[w] = _T
+                        labelend[w] = p ^ 1
             if augmented:
                 break
 
             # No augmenting path under the current duals: take the largest
             # dual step that keeps every constraint (all values doubled).
+            # Only a pending edge can become tight (see the module
+            # docstring); its labels are re-read here, as a T-blossom
+            # expansion may have freed one end since it was scanned.
             delta = min(dual[:n])
             deltatype = 1
             deltaedge = deltablossom = -1
-            for v in range(n):
-                if label[inblossom[v]] == _FREE and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if d < delta:
-                        delta, deltatype, deltaedge = d, 2, bestedge[v]
-            for b in range(nb):
-                if parent[b] == -1 and label[b] == _S and bestedge[b] != -1:
-                    d = slack(bestedge[b]) // 2
-                    if d < delta:
-                        delta, deltatype, deltaedge = d, 3, bestedge[b]
+            for k in pending:
+                bi = inblossom[endpoint[2 * k]]
+                bj = inblossom[endpoint[2 * k + 1]]
+                if bi == bj:
+                    continue
+                if label[bi] == label[bj] == _S:
+                    d = slack(k) // 2
+                elif label[bi] + label[bj] == _S:
+                    # One end S, the other in a free blossom.
+                    d = slack(k)
+                else:
+                    continue
+                if d < delta:
+                    delta, deltatype, deltaedge = d, 2, k
             for b in range(n, nb):
                 if (base[b] >= 0 and parent[b] == -1 and label[b] == _T
                         and dual[b] < delta):

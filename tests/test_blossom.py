@@ -4,12 +4,20 @@ import random
 import networkx
 import pytest
 
+from tmatch import Variant, lb, solve
 from tmatch.blossom import (
     MatchingCertificate,
     maximum_weight_perfect_matching,
     verify_optimum,
 )
+from tmatch.detect import find_all_forbidden
 from tmatch.errors import InfeasibleError, InternalError
+from tmatch.generators import (
+    plant_forbidden,
+    random_bounded,
+    reweighted,
+    vertex_induced_weights,
+)
 
 
 def matched_edge_ids(edges, mate):
@@ -272,3 +280,51 @@ def test_all_optional_against_networkx():
         assert total == sum(g[u][v]["weight"] for (u, v) in ref)
         assert -1 in mate
         verify_optimum(n, edges, mate, cert)
+
+
+def _lb_hat_instances():
+    """The matching instances ``lb.solve_lb`` builds for the two scale
+    families of criterion 9b: split vertices joined to their externals by
+    weight-0 stars, with required and optional vertices mixed."""
+    calls = []
+
+    def record(n, edges, *, required):
+        calls.append((n, list(edges), list(required)))
+        return maximum_weight_perfect_matching(n, edges, required=required)
+
+    variant = Variant.restricted()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lb, "maximum_weight_perfect_matching", record)
+        for seed in range(8):
+            # Unweighted: the capped cardinality track.
+            solve(random_bounded(20 + 4 * seed, 3, 0.5, seed), variant)
+            # Weighted: the lexicographic track with vertex-induced weights.
+            g = random_bounded(8 + 3 * seed, 3, 0.5, seed)
+            g = plant_forbidden(g, "clique", 1, seed + 1)
+            records, _, _ = find_all_forbidden(g, variant)
+            solve(reweighted(g, vertex_induced_weights(g, records, (0, 5), (0, 6), seed)), variant)
+    return calls
+
+
+def test_required_masks_on_lb_instances_against_networkx():
+    calls = _lb_hat_instances()
+    assert len(calls) == 16
+    assert max(n for (n, _, _) in calls) >= 250
+    for (n, edges, required) in calls:
+        assert any(required) and not all(required)
+        mate, total, cert = maximum_weight_perfect_matching(n, edges, required=required)
+        # The engine maximises w + shift per required endpoint; networkx
+        # must find the same shifted optimum, and it must cover every
+        # required vertex.
+        g = networkx.Graph()
+        g.add_nodes_from(range(n))
+        for (u, v, w) in edges:
+            ws = w + cert.shift * (required[u] + required[v])
+            if ws > 0 and (not g.has_edge(u, v) or g[u][v]["weight"] < ws):
+                g.add_edge(u, v, weight=ws)
+        ref = networkx.max_weight_matching(g, maxcardinality=False)
+        covered = {x for pair in ref for x in pair}
+        assert all(v in covered for v in range(n) if required[v])
+        want = sum(g[u][v]["weight"] for (u, v) in ref)
+        got = total + cert.shift * sum(1 for v in range(n) if required[v] and mate[v] != -1)
+        assert got == want
