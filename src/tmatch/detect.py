@@ -21,6 +21,10 @@ subgraph lies within distance two of each of its vertices, so one through
 such a vertex has the base's vertex set and contains the vertex searched
 first, whose search already listed it.
 
+Record weights cost one adjacency walk per distinct vertex set.  The
+records on one set (the K^p_2's of a dense cluster) share its induced
+weight and edge count, and each subtracts the edges inside its classes.
+
 ``DetectionStats.probe_ops`` meters the work so tests can assert the
 linear scaling: every adjacency list read, every adjacency test, and every
 vertex the peeling pops from its worklist or deletes (with its list).
@@ -175,14 +179,34 @@ def _canon_classes(classes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _subgraph_weight(g: Graph, h: ForbiddenSubgraph) -> int:
-    w = 0
-    for (u, v) in h.edge_pairs():
-        eid = g.edge_id(u, v)
-        if eid is None:
-            raise InternalError(f"{h.kind} candidate {h.vertices} misses edge ({u},{v})")
-        w += g.weight_doubled(eid)
-    return w
+def _subgraph_weight(g: Graph, h: ForbiddenSubgraph, walks: dict) -> int:
+    """Doubled weight of h's edge set.
+
+    ``walks`` maps a vertex set to the doubled weight and the number of
+    the edges it induces, filled on first use, so records sharing a vertex
+    set (the members of a dense cluster) walk it once.  Forbidden subgraphs
+    need not be induced: the edges inside h's classes are subtracted, and
+    what remains must be exactly h's cross pairs.
+    """
+    walk = walks.get(h.vertices)
+    if walk is None:
+        vset, edges = set(h.vertices), g.edges
+        ws = [edges[e][2] for u in h.vertices for (x, e) in g.adj[u] if x > u and x in vset]
+        walk = walks[h.vertices] = (sum(ws), len(ws))
+    weight, count = walk
+    k = len(h.vertices)
+    cross = k * (k - 1) // 2
+    for c in h.classes:
+        cross -= len(c) * (len(c) - 1) // 2
+        for (u, v) in itertools.combinations(c, 2):
+            eid = g.edge_id(u, v)
+            if eid is not None:
+                weight -= g.weight_doubled(eid)
+                count -= 1
+    if count != cross:
+        (u, v) = next((u, v) for (u, v) in h.edge_pairs() if not g.has_edge(u, v))
+        raise InternalError(f"{h.kind} candidate {h.vertices} misses edge ({u},{v})")
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +374,11 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
     """
     need = max(p - 2, 1) * q
     nbrs = R.neighbors(v)
+    mark = set(nbrs)
     for u in nbrs[:2]:
         cands = [z for z in R.neighbors(u) if z != v]
         for z in cands[:2]:
-            if len(R.common(v, z)) >= need:
+            if len(mark.intersection(R.neighbors(z))) >= need:
                 return z
     return None
 
@@ -432,18 +457,20 @@ def find_all_forbidden(
     with a record of every intersecting pair.
 
     ``variant`` is a :class:`~tmatch.pipeline.Variant`.  Each subgraph is
-    reported once (canonical vertex/class key).  The returned stats carry
-    the probe-work counter used by the scaling tests.
+    reported once (canonical vertex/class key).  Record weights cost one
+    adjacency walk per distinct vertex set, cached for this call.  The
+    returned stats carry the probe-work counter used by the scaling tests.
     """
     stats = DetectionStats()
     records: list[ForbiddenSubgraph] = []
+    walks: dict[tuple[int, ...], tuple[int, int]] = {}
     # _run_shape emits each record once, and every shape of a variant has
     # its own kind, so records of different shapes never coincide.
     for (p, q) in variant.shapes(g.t):
         kind = _kind_for_shape(p, q)
         for (verts, classes) in _run_shape(g, p, q, stats):
             h = ForbiddenSubgraph(kind, verts, classes, 0, id=len(records))
-            h.weight = _subgraph_weight(g, h)
+            h.weight = _subgraph_weight(g, h, walks)
             records.append(h)
 
     # Two records intersect exactly when some vertex lies on both.
@@ -451,8 +478,11 @@ def find_all_forbidden(
     for r in records:
         for x in r.vertices:
             on_vertex.setdefault(x, []).append(r.id)
+    # The vertices of a cluster share one id list, so each distinct list is
+    # paired once.  Taken in first-seen order, they add the pairs in the
+    # same order as pairing every vertex's list, so the set iterates alike.
     inter = IntersectionRecord()
-    for ids in on_vertex.values():
+    for ids in dict.fromkeys(map(tuple, on_vertex.values())):
         inter.pairs.update(itertools.combinations(ids, 2))
     return records, inter, stats
 
@@ -473,25 +503,24 @@ def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubg
     for verts, ids in sorted(groups.items()):
         if len(ids) < 2:
             continue
+        # One walk of the cluster's adjacency lists finds its core and its
+        # edges, listed in vertex-pair order.
         vset = set(verts)
-        core = tuple(
-            sorted(
-                v for v in verts
-                if g.degree(v) == g.t + 1 and all(u in vset for u in g.neighbors(v))
-            )
-        )
+        core: list[int] = []
+        edge_ids: list[int] = []
+        for u in verts:
+            inside = sorted((x, e) for (x, e) in g.adj[u] if x in vset)
+            if len(inside) == len(g.adj[u]) == g.t + 1:
+                core.append(u)
+            edge_ids.extend(e for (x, e) in inside if x > u)
         if len(core) < 4 or len(core) % 2 != 0:
             raise InternalError(
-                f"dense cluster on {verts} has invalid core {core}"
+                f"dense cluster on {verts} has invalid core {tuple(core)}"
             )
-        edge_ids = tuple(
-            e for e in itertools.starmap(g.edge_id, itertools.combinations(verts, 2))
-            if e is not None
-        )
         weight = sum(g.weight_doubled(e) for e in edge_ids)
         rec = ForbiddenSubgraph(
-            DENSE, verts, (), weight, id=next_id, core=core,
-            member_ids=tuple(sorted(ids)), edge_ids=edge_ids,
+            DENSE, verts, (), weight, id=next_id, core=tuple(core),
+            member_ids=tuple(sorted(ids)), edge_ids=tuple(edge_ids),
         )
         for mid in ids:
             records[mid].in_dense = rec.id

@@ -2,10 +2,13 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from tmatch import detect
 from tmatch.detect import (
     BICLIQUE,
     CLIQUE,
+    PARTITE,
     DetectionStats,
     ForbiddenSubgraph,
     _find_at,
@@ -17,6 +20,7 @@ from tmatch.detect import (
     find_dense,
     find_partner,
 )
+from tmatch.errors import InternalError
 from tmatch.generators import (
     plant_forbidden,
     random_bounded,
@@ -29,6 +33,7 @@ from tmatch.pipeline import forbidden_records
 from tmatch.variant import Variant
 
 from .conftest import complete_graph, octahedron
+from .test_acceptance import CONFIGS, _instance
 
 
 def cycle(n, t=3):
@@ -51,7 +56,7 @@ def find_kpq_at(g, v, p, q):
     out = []
     for (verts, classes) in sorted(set(_find_at(residual(g), v, p, q))):
         h = ForbiddenSubgraph(kind, verts, classes, 0)
-        h.weight = _subgraph_weight(g, h)
+        h.weight = _subgraph_weight(g, h, {})
         out.append(h)
     return out
 
@@ -417,6 +422,51 @@ def test_driver_matches_probing_on_joined_plants():
         for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
             g = joined_plants(200, shape, t, p, q, size, 10, 100 * seed + i)
             assert_driver_matches_probing(g, var)
+
+
+def assert_weights_sum_edge_pairs(g, var):
+    records, _, _ = find_all_forbidden(g, var)
+    for r in records:
+        want = sum(g.weight_doubled(g.edge_id(u, v)) for (u, v) in r.edge_pairs())
+        assert r.weight == want, (r.kind, r.vertices, r.classes)
+    return records
+
+
+def intra_class_edges(g, r):
+    return sum(g.has_edge(u, v) for c in r.classes for (u, v) in itertools.combinations(c, 2))
+
+
+def test_record_weight_is_the_sum_over_its_edge_pairs():
+    # A record's weight comes from one walk of its vertex set, shared by
+    # the records on that set, less the edges inside its classes.  The
+    # weights here are arbitrary, not vertex-induced, so any edge wrongly
+    # kept or subtracted changes the sum.
+    rng = random.Random(61)
+    intra = 0
+    for seed in range(2):
+        for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
+            g = joined_plants(120, shape, t, p, q, size, 6, 300 + 10 * seed + i)
+            g = reweighted(g, [rng.randint(0, 9) for _ in g.edges])
+            records = assert_weights_sum_edge_pairs(g, var)
+            assert records, shape
+            intra += sum(intra_class_edges(g, r) for r in records)
+    for cfg_idx, (_, _, var, _) in enumerate(CONFIGS):
+        for seed in range(0, 500, 5):
+            g = _instance(cfg_idx, seed)
+            g = reweighted(g, [rng.randint(0, 9) for _ in g.edges])
+            records = assert_weights_sum_edge_pairs(g, var)
+            intra += sum(intra_class_edges(g, r) for r in records)
+    assert intra > 0
+
+
+def test_candidate_missing_a_cross_edge_raises_despite_an_intra_class_edge():
+    # Trading the octahedron's cross edge (0,2) for the edge (0,1) inside
+    # class {0,1} keeps the vertex set's induced edge count at 12.
+    edges = {(u, v) for (u, v, _) in octahedron().edges} - {(0, 2)} | {(0, 1)}
+    g = Graph(6, [(u, v, 1) for (u, v) in sorted(edges)], 4)
+    h = ForbiddenSubgraph(PARTITE, tuple(range(6)), ((0, 1), (2, 3), (4, 5)), 0)
+    with pytest.raises(InternalError, match=r"misses edge \(0,2\)"):
+        _subgraph_weight(g, h, {})
 
 
 def test_enclosed_base_vertices_are_not_searched(monkeypatch):
