@@ -66,8 +66,6 @@ endpoint p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InfeasibleError, InstanceTooLargeError, InternalError
 
 # Size gate of the engine.  It bounds the running time (the method is
@@ -426,7 +424,6 @@ def _solve(n: int, endpoint: list[int], wt2: list[int]):
     return partner, dual, leaves
 
 
-@dataclass
 class MatchingCertificate:
     """Dual certificate of optimality for a maximum weight matching.
 
@@ -436,10 +433,19 @@ class MatchingCertificate:
     endpoint before the solve; ``required`` marks the vertices the matching
     must cover (None: every vertex)."""
 
-    vertex_dual: list[int]
-    blossoms: list[tuple[list[int], int]]
-    shift: int
-    required: list[bool] | None = None
+    __slots__ = ("vertex_dual", "blossoms", "shift", "required")
+
+    def __init__(
+        self,
+        vertex_dual: list[int],
+        blossoms: list[tuple[list[int], int]],
+        shift: int,
+        required: list[bool] | None = None,
+    ):
+        self.vertex_dual = vertex_dual
+        self.blossoms = blossoms
+        self.shift = shift
+        self.required = required
 
 
 def verify_optimum(

@@ -34,14 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import build_auxiliary
-from .generators import (
-    plant_forbidden,
-    random_bounded,
-    reweighted,
-    vertex_induced_weights,
-)
 from .graph import Graph
-from .oracle import brute_force_optimum
 from .pipeline import forbidden_records, prepare, solve
 from .variant import Variant
 
@@ -141,6 +134,11 @@ def _cmd_solve(args) -> int:
             gid = e.tag[1] if kind != "orig" else -1
             print(f"{e.u} {e.v} {e.w} {kind} {gid}")
         return EXIT_OK
+    if args.oracle_check:
+        # Before the solve, so the oracle's size gates fail the run early.
+        from .oracle import brute_force_optimum
+
+        want, _, _ = brute_force_optimum(g, variant)
     result = solve(g, variant)
     if args.dump_expanded:
         ex = result.stats
@@ -150,7 +148,6 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
     if args.oracle_check:
-        want, _, _ = brute_force_optimum(g, variant)
         if want != result.weight_doubled:
             print(
                 f"oracle mismatch: solver {result.weight_doubled} vs "
@@ -195,6 +192,13 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import (
+        plant_forbidden,
+        random_bounded,
+        reweighted,
+        vertex_induced_weights,
+    )
+
     if args.variant == "kpq":
         if args.p is None or args.q is None:
             raise InputFormatError("kpq generation needs --p and --q")

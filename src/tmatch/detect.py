@@ -33,7 +33,6 @@ vertex the peeling pops from its worklist or deletes (with its list).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import InternalError
 from .graph import Graph
@@ -44,7 +43,6 @@ PARTITE = "partite"
 DENSE = "dense"
 
 
-@dataclass
 class ForbiddenSubgraph:
     """One forbidden subgraph (or a dense cluster of them).
 
@@ -54,16 +52,34 @@ class ForbiddenSubgraph:
     among its vertices.  ``weight`` is in doubled units.
     """
 
-    kind: str
-    vertices: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    weight: int
-    id: int = -1
-    problematic: bool = False
-    core: tuple[int, ...] = ()
-    member_ids: tuple[int, ...] = ()  # dense only: absorbed partite records
-    edge_ids: tuple[int, ...] = ()  # dense only: every edge among the vertices
-    in_dense: int = -1  # partite only: id of the dense record absorbing it
+    __slots__ = (
+        "kind", "vertices", "classes", "weight", "id", "problematic",
+        "core", "member_ids", "edge_ids", "in_dense",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        vertices: tuple[int, ...],
+        classes: tuple[tuple[int, ...], ...],
+        weight: int,
+        id: int = -1,
+        problematic: bool = False,
+        core: tuple[int, ...] = (),
+        member_ids: tuple[int, ...] = (),
+        edge_ids: tuple[int, ...] = (),
+        in_dense: int = -1,
+    ):
+        self.kind = kind
+        self.vertices = vertices
+        self.classes = classes
+        self.weight = weight
+        self.id = id
+        self.problematic = problematic
+        self.core = core
+        self.member_ids = member_ids  # dense only: absorbed partite records
+        self.edge_ids = edge_ids  # dense only: every edge among the vertices
+        self.in_dense = in_dense  # partite only: id of the dense record absorbing it
 
     def key(self) -> tuple:
         return (self.kind, self.vertices, self.classes)
@@ -81,18 +97,22 @@ class ForbiddenSubgraph:
         return out
 
 
-@dataclass
 class IntersectionRecord:
     """Symmetric record of forbidden-subgraph pairs sharing a vertex."""
 
-    pairs: set[tuple[int, int]] = field(default_factory=set)
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: set[tuple[int, int]] | None = None):
+        self.pairs = set() if pairs is None else pairs
 
 
-@dataclass
 class DetectionStats:
     """Instrumentation for the linear-time budget assertion."""
 
-    probe_ops: int = 0
+    __slots__ = ("probe_ops",)
+
+    def __init__(self, probe_ops: int = 0):
+        self.probe_ops = probe_ops
 
 
 class _Residual:

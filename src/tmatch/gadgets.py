@@ -10,15 +10,12 @@ potential as its weight; all other gadget edges weigh zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
 from .errors import InternalError
 from .graph import GADGET_INTERNAL, HALF_EDGE, ORIGINAL, CapacityVector, Graph, MultiGraph
 from .potentials import PotentialFunction
 
 
-@dataclass
 class GadgetInfo:
     """Bookkeeping for one attached gadget.
 
@@ -29,17 +26,32 @@ class GadgetInfo:
     list of (edge_id, original_vertex) half-edges it carries.
     """
 
-    kind: str
-    subgraph_id: int
-    hubs: list[int] = field(default_factory=list)
-    collector: int = -1
-    center_hub: int = -1
-    center: int = -1
-    half_edges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    internal_edges: list[int] = field(default_factory=list)
+    __slots__ = (
+        "kind", "subgraph_id", "hubs", "collector", "center_hub", "center",
+        "half_edges", "internal_edges",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        subgraph_id: int,
+        hubs: list[int] | None = None,
+        collector: int = -1,
+        center_hub: int = -1,
+        center: int = -1,
+        half_edges: dict[int, list[tuple[int, int]]] | None = None,
+        internal_edges: list[int] | None = None,
+    ):
+        self.kind = kind
+        self.subgraph_id = subgraph_id
+        self.hubs = [] if hubs is None else hubs
+        self.collector = collector
+        self.center_hub = center_hub
+        self.center = center
+        self.half_edges = {} if half_edges is None else half_edges
+        self.internal_edges = [] if internal_edges is None else internal_edges
 
 
-@dataclass
 class AuxiliaryInstance:
     """The auxiliary multigraph with capacities and gadget provenance.
 
@@ -47,11 +59,21 @@ class AuxiliaryInstance:
     record's id is its index there.
     """
 
-    graph: MultiGraph
-    capacities: CapacityVector
-    gadgets: list[GadgetInfo]
-    original: Graph
-    records: list[ForbiddenSubgraph]
+    __slots__ = ("graph", "capacities", "gadgets", "original", "records")
+
+    def __init__(
+        self,
+        graph: MultiGraph,
+        capacities: CapacityVector,
+        gadgets: list[GadgetInfo],
+        original: Graph,
+        records: list[ForbiddenSubgraph],
+    ):
+        self.graph = graph
+        self.capacities = capacities
+        self.gadgets = gadgets
+        self.original = original
+        self.records = records
 
     def original_edge_ids(self, selected: list[int]) -> list[int]:
         out = []

@@ -11,9 +11,6 @@ of a triangle with odd weight sums) remain machine integers everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import InputFormatError, ValidationError
 
 # Edge annotations used by MultiGraph.
@@ -32,7 +29,7 @@ class Graph:
 
     __slots__ = ("n", "t", "edges", "adj", "_edge_index", "unweighted")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int, int]], t: int):
+    def __init__(self, n: int, edges: list[tuple[int, int, int]], t: int):
         """Build a graph from ``(u, v, weight)`` triples.
 
         Weights are non-negative integers in input units.  Raises
@@ -100,7 +97,6 @@ class Graph:
         return sum(w for (_, _, w) in self.edges)
 
 
-@dataclass(frozen=True)
 class MEdge:
     """Edge of the auxiliary multigraph.
 
@@ -109,10 +105,13 @@ class MEdge:
     ``(GADGET_INTERNAL, gadget_id)`` for a weight-0 internal gadget edge.
     """
 
-    u: int
-    v: int
-    w: int
-    tag: tuple
+    __slots__ = ("u", "v", "w", "tag")
+
+    def __init__(self, u: int, v: int, w: int, tag: tuple):
+        self.u = u
+        self.v = v
+        self.w = w
+        self.tag = tag
 
 
 class MultiGraph:
@@ -152,16 +151,16 @@ class MultiGraph:
         return [e.w for e in self.edges]
 
 
-@dataclass
 class CapacityVector:
     """Per-vertex degree interval [lower, upper] for (l,b)-matchings."""
 
-    lower: list[int]
-    upper: list[int]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if len(self.lower) != len(self.upper):
+    def __init__(self, lower: list[int], upper: list[int]):
+        if len(lower) != len(upper):
             raise InputFormatError("capacity vectors must have equal length")
-        for v, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+        for v, (lo, hi) in enumerate(zip(lower, upper)):
             if lo < 0 or hi < lo:
                 raise InputFormatError(f"bad capacity interval [{lo},{hi}] at vertex {v}")
+        self.lower = lower
+        self.upper = upper

@@ -22,8 +22,6 @@ objectives ride on the same split with unit weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blossom import (
     MAX_ENGINE_VERTICES,
     MatchingCertificate,
@@ -34,26 +32,37 @@ from .gadgets import AuxiliaryInstance
 from .graph import ORIGINAL, CapacityVector, MultiGraph
 
 
-@dataclass
 class ExpandedInstance:
     """Size record of the reduction (diagnostics only): the interval
     instance after clamping (star) and the matching instance (hat)."""
 
-    star_vertices: int
-    star_edges: int
-    hat_vertices: int
-    hat_edges: int
+    __slots__ = ("star_vertices", "star_edges", "hat_vertices", "hat_edges")
+
+    def __init__(self, star_vertices: int, star_edges: int, hat_vertices: int, hat_edges: int):
+        self.star_vertices = star_vertices
+        self.star_edges = star_edges
+        self.hat_vertices = hat_vertices
+        self.hat_edges = hat_edges
 
 
-@dataclass
 class LbMatching:
     """A feasible (l,b)-matching with its engine certificate."""
 
-    edge_ids: list[int]
-    degrees: list[int]
-    weight: int
-    certificate: MatchingCertificate
-    expanded: ExpandedInstance
+    __slots__ = ("edge_ids", "degrees", "weight", "certificate", "expanded")
+
+    def __init__(
+        self,
+        edge_ids: list[int],
+        degrees: list[int],
+        weight: int,
+        certificate: MatchingCertificate,
+        expanded: ExpandedInstance,
+    ):
+        self.edge_ids = edge_ids
+        self.degrees = degrees
+        self.weight = weight
+        self.certificate = certificate
+        self.expanded = expanded
 
     @property
     def cardinality(self) -> int:

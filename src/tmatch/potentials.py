@@ -8,18 +8,18 @@ edge weights make the (otherwise half-integral) potentials plain integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
 from .errors import InternalError, NotVertexInducedError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
 class PotentialFunction:
     """Per-vertex potentials of one subgraph, in doubled units."""
 
-    assignments: dict[int, int]
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: dict[int, int]):
+        self.assignments = assignments
 
     def value(self, v: int) -> int:
         return self.assignments[v]

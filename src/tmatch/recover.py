@@ -9,8 +9,6 @@ neutral local flips, complements, and certifies the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .detect import BICLIQUE, CLIQUE, DENSE, ForbiddenSubgraph
 from .errors import InternalError
 from .gadgets import AuxiliaryInstance
@@ -18,15 +16,24 @@ from .graph import ORIGINAL, Graph
 from .lb import LbMatching
 
 
-@dataclass
 class SolveResult:
     """Final answer: the t-matching, its complement, and diagnostics."""
 
-    tmatching: list[int]
-    cotmatching: list[int]
-    weight_doubled: int
-    diagnostics: list[dict] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("tmatching", "cotmatching", "weight_doubled", "diagnostics", "stats")
+
+    def __init__(
+        self,
+        tmatching: list[int],
+        cotmatching: list[int],
+        weight_doubled: int,
+        diagnostics: list[dict] | None = None,
+        stats: dict | None = None,
+    ):
+        self.tmatching = tmatching
+        self.cotmatching = cotmatching
+        self.weight_doubled = weight_doubled
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.stats = {} if stats is None else stats
 
     @property
     def weight(self) -> int:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputFormatError
 
 
-@dataclass(frozen=True)
 class Variant:
     """Which family of subgraphs is forbidden.
 
@@ -17,9 +14,12 @@ class Variant:
     to the clique-only and biclique-only pipelines.
     """
 
-    kind: str  # "restricted" | "kpq"
-    p: int = 0
-    q: int = 0
+    __slots__ = ("kind", "p", "q")
+
+    def __init__(self, kind: str, p: int = 0, q: int = 0):
+        self.kind = kind  # "restricted" | "kpq"
+        self.p = p
+        self.q = q
 
     @staticmethod
     def restricted() -> "Variant":

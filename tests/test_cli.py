@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tmatch import Variant
 from tmatch.cli import main
 from tmatch.detect import find_all_forbidden
@@ -67,6 +69,18 @@ def test_degree_violation_exit_3(tmp_path):
         f"{u} {v}" for u in range(6) for v in range(u + 1, 6)
     ) + "\n"
     assert main(["solve", write(tmp_path, k6)]) == 3
+
+
+@pytest.mark.parametrize("n, m", [(37, 37), (15, 14)])
+def test_oracle_check_gates_before_solve(tmp_path, monkeypatch, capsys, n, m):
+    # A cycle past the oracle's edge gate, and a path past its vertex gate.
+    def no_solve(*args):
+        raise AssertionError("solve ran before the oracle's gates")
+
+    monkeypatch.setattr("tmatch.cli.solve", no_solve)
+    text = f"{n} {m} 3 restricted\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(m))
+    assert main(["solve", write(tmp_path, text), "--oracle-check"]) == 3
+    assert "gated" in capsys.readouterr().err
 
 
 def test_not_vertex_induced_exit_4(tmp_path):

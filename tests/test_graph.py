@@ -1,7 +1,7 @@
 import pytest
 
-from tmatch.errors import ValidationError
-from tmatch.graph import Graph
+from tmatch.errors import InputFormatError, ValidationError
+from tmatch.graph import CapacityVector, Graph
 
 from .conftest import complete_graph
 
@@ -27,3 +27,14 @@ def test_validation_errors():
 def test_isolated_vertices_accepted():
     g = Graph(5, [(0, 1, 1)], 3)
     assert g.degree(4) == 0
+
+
+def test_capacity_vector_rejects_bad_intervals():
+    cap = CapacityVector([0, 1, 2], [0, 3, 2])
+    assert (cap.lower, cap.upper) == ([0, 1, 2], [0, 3, 2])
+    with pytest.raises(InputFormatError, match="equal length"):
+        CapacityVector([0, 1], [1])
+    with pytest.raises(InputFormatError, match=r"\[-1,1\] at vertex 1"):
+        CapacityVector([0, -1], [1, 1])
+    with pytest.raises(InputFormatError, match=r"\[2,1\] at vertex 0"):
+        CapacityVector([2, 0], [1, 1])

@@ -1,10 +1,14 @@
-"""Every name the package and the tests import is used.
+"""Every name the package and the tests import is used, and importing
+the package loads nothing beyond it.
 
 An import left behind by deleted code hides what a module still depends
 on.  ``__future__`` imports and names listed in ``__all__`` count as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +46,34 @@ def test_no_unused_imports():
         for entry in unused_imports(ast.parse(path.read_text(), str(path))):
             found.append(f"{path.relative_to(ROOT)} {entry}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """Modules a fresh interpreter adds to ``sys.modules`` while it runs
+    ``statement``, beyond those it loaded at start."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_import_loads_only_the_package():
+    loaded = modules_loaded_by("import tmatch")
+    assert "tmatch.pipeline" in loaded
+    foreign = sorted(m for m in loaded if m != "__future__" and m.split(".")[0] != "tmatch")
+    assert not foreign, f"import tmatch loads {foreign}"
+
+
+def test_cli_import_skips_oracle_and_generators():
+    loaded = modules_loaded_by("import tmatch.cli")
+    assert "tmatch.cli" in loaded
+    assert not {"tmatch.oracle", "tmatch.generators"} & loaded

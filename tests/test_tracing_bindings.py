@@ -4,7 +4,6 @@ reads the reduction's size fields; deleting or renaming any of them breaks
 text, so nothing under ``perfbench/`` is imported or written."""
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -35,5 +34,5 @@ def test_traced_bindings_exist():
 
 
 def test_traced_expansion_fields_exist():
-    names = {f.name for f in dataclasses.fields(ExpandedInstance)}
-    assert {"star_vertices", "hat_vertices", "hat_edges"} <= names
+    ex = ExpandedInstance(star_vertices=1, star_edges=2, hat_vertices=3, hat_edges=4)
+    assert (ex.star_vertices, ex.hat_vertices, ex.hat_edges) == (1, 3, 4)
