@@ -129,10 +129,14 @@ def _cmd_solve(args) -> int:
     if args.dump_aux:
         records, _, potentials, _ = prepare(g, variant)
         aux = build_auxiliary(g, records, potentials)
-        for e in aux.graph.edges:
-            kind = e.tag[0]
-            gid = e.tag[1] if kind != "orig" else -1
-            print(f"{e.u} {e.v} {e.w} {kind} {gid}")
+        # Input edges come first; the gadgets list every later edge.
+        label = {}
+        for gid, info in enumerate(aux.gadgets):
+            for halves in info.half_edges.values():
+                label.update((eid, f"half {gid}") for (eid, _) in halves)
+            label.update((eid, f"gadget {gid}") for eid in info.internal_edges)
+        for eid, (u, v, w) in enumerate(aux.graph.edges):
+            print(f"{u} {v} {w} {label.get(eid, 'orig -1')}")
         return EXIT_OK
     if args.oracle_check:
         # Before the solve, so the oracle's size gates fail the run early.

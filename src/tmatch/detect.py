@@ -15,11 +15,9 @@ scan of the whole graph, so all peeling together costs O(n + m).
 
 After a hit, the other vertices of the first subgraph found (the base)
 are searched too, so that every subgraph sharing a vertex with it is
-listed before the base is removed.  A base vertex is skipped when its
-alive neighbours and all of theirs lie in the base: every forbidden
-subgraph lies within distance two of each of its vertices, so one through
-such a vertex has the base's vertex set and contains the vertex searched
-first, whose search already listed it.
+listed before the base is removed.  A base vertex is skipped when all
+its alive neighbours lie in the base: a subgraph through it that leaves
+the base also runs through a searched base vertex (see ``_enclosed``).
 
 Record weights cost one adjacency walk per distinct vertex set.  The
 records on one set (the K^p_2's of a dense cluster) share its induced
@@ -95,15 +93,6 @@ class ForbiddenSubgraph:
             for cj in self.classes[i + 1:]:
                 out.extend((min(u, v), max(u, v)) for u in ci for v in cj)
         return out
-
-
-class IntersectionRecord:
-    """Symmetric record of forbidden-subgraph pairs sharing a vertex."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: set[tuple[int, int]] | None = None):
-        self.pairs = set() if pairs is None else pairs
 
 
 class DetectionStats:
@@ -404,12 +393,19 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
 
 
 def _enclosed(R: _Residual, verts: tuple[int, ...]) -> set[int]:
-    """The vertices of ``verts`` whose alive neighbours, and all of their
-    alive neighbours, lie in ``verts``: no K^p_q through one leaves it."""
+    """The vertices of the base ``verts`` whose alive neighbours all lie
+    in it.  Every K^p_q H through such a vertex x is listed by the search
+    of a base vertex that is not enclosed, or of the vertex searched first.
+
+    If H lies in the base, it has the base's vertex set and so contains
+    the vertex whose search found the base.  Otherwise suppose H leaves
+    the base.  Every cross vertex of x in H is in N(x), which lies in the
+    base, so some class-mate z of x in H lies outside the base.  z is
+    adjacent to every cross vertex of x, among them some w in the base.
+    Then w is not enclosed, so w is searched, and w's search lists H.
+    """
     vset = set(verts)
-    nbrs = {x: R.neighbors(x) for x in verts}
-    leaky = {x for x in verts if any(u not in vset for u in nbrs[x])}
-    return {x for x in verts if x not in leaky and leaky.isdisjoint(nbrs[x])}
+    return {x for x in verts if vset.issuperset(R.neighbors(x))}
 
 
 def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
@@ -434,9 +430,9 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
             continue
         v2 = partner
         # The first hit is the base.  Every subgraph through an enclosed
-        # base vertex spans the base, so it contains the vertex searched
-        # first and is already a hit: search only the other vertices.  The
-        # residual graph stays unchanged until the base is removed.
+        # base vertex is listed by another search (see _enclosed), so
+        # search only the other vertices.  The residual graph stays
+        # unchanged until the base is removed.
         hits = _find_at(R, v1, p, q)
         if hits:
             enclosed = _enclosed(R, hits[0][0])
@@ -472,9 +468,10 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
 
 def find_all_forbidden(
     g: Graph, variant
-) -> tuple[list[ForbiddenSubgraph], IntersectionRecord, DetectionStats]:
+) -> tuple[list[ForbiddenSubgraph], set[tuple[int, int]], DetectionStats]:
     """Enumerate all forbidden subgraphs of ``g`` for the given variant,
-    with a record of every intersecting pair.
+    with the set of id pairs ``(a, b)``, ``a < b``, of records sharing a
+    vertex.
 
     ``variant`` is a :class:`~tmatch.pipeline.Variant`.  Each subgraph is
     reported once (canonical vertex/class key).  Record weights cost one
@@ -501,10 +498,10 @@ def find_all_forbidden(
     # The vertices of a cluster share one id list, so each distinct list is
     # paired once.  Taken in first-seen order, they add the pairs in the
     # same order as pairing every vertex's list, so the set iterates alike.
-    inter = IntersectionRecord()
+    pairs: set[tuple[int, int]] = set()
     for ids in dict.fromkeys(map(tuple, on_vertex.values())):
-        inter.pairs.update(itertools.combinations(ids, 2))
-    return records, inter, stats
+        pairs.update(itertools.combinations(ids, 2))
+    return records, pairs, stats
 
 
 def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubgraph]:
@@ -551,7 +548,7 @@ def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubg
 
 def classify_problematic(
     records: list[ForbiddenSubgraph],
-    inter: IntersectionRecord,
+    pairs: set[tuple[int, int]],
 ) -> list[list[int]]:
     """Mark each non-dense record problematic or not, in place, and return
     the ids of the records intersecting each record.
@@ -562,7 +559,7 @@ def classify_problematic(
     always end up unproblematic via the equal-weight rule.
     """
     nbrs: list[list[int]] = [[] for _ in records]
-    for (a, b) in inter.pairs:
+    for (a, b) in pairs:
         nbrs[a].append(b)
         nbrs[b].append(a)
     for r in records:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
 from .errors import InternalError
-from .graph import GADGET_INTERNAL, HALF_EDGE, ORIGINAL, CapacityVector, Graph, MultiGraph
-from .potentials import PotentialFunction
+from .graph import CapacityVector, Graph, MultiGraph
 
 
 class GadgetInfo:
@@ -23,7 +22,9 @@ class GadgetInfo:
     clique gadget), ``collector`` the degree-(p-2) or (p-k) aggregation
     vertex of partite/dense gadgets, ``center_hub``/``center`` the doubled
     attachment of a dense cluster.  ``half_edges`` maps each hub to the
-    list of (edge_id, original_vertex) half-edges it carries.
+    list of (edge_id, original_vertex) half-edges it carries, and
+    ``internal_edges`` lists the ids of the weight-0 hub-collector links.
+    Together they name every auxiliary edge of the gadget.
     """
 
     __slots__ = (
@@ -31,32 +32,24 @@ class GadgetInfo:
         "half_edges", "internal_edges",
     )
 
-    def __init__(
-        self,
-        kind: str,
-        subgraph_id: int,
-        hubs: list[int] | None = None,
-        collector: int = -1,
-        center_hub: int = -1,
-        center: int = -1,
-        half_edges: dict[int, list[tuple[int, int]]] | None = None,
-        internal_edges: list[int] | None = None,
-    ):
+    def __init__(self, kind: str, subgraph_id: int):
         self.kind = kind
         self.subgraph_id = subgraph_id
-        self.hubs = [] if hubs is None else hubs
-        self.collector = collector
-        self.center_hub = center_hub
-        self.center = center
-        self.half_edges = {} if half_edges is None else half_edges
-        self.internal_edges = [] if internal_edges is None else internal_edges
+        self.hubs: list[int] = []
+        self.collector = -1
+        self.center_hub = -1
+        self.center = -1
+        self.half_edges: dict[int, list[tuple[int, int]]] = {}
+        self.internal_edges: list[int] = []
 
 
 class AuxiliaryInstance:
     """The auxiliary multigraph with capacities and gadget provenance.
 
-    ``records`` is the classified detection output it was built from; a
-    record's id is its index there.
+    The first ``original.m`` edges of ``graph`` are the input edges, with
+    the same ids; every later edge belongs to one gadget and is listed in
+    its :class:`GadgetInfo`.  ``records`` is the classified detection
+    output it was built from; a record's id is its index there.
     """
 
     __slots__ = ("graph", "capacities", "gadgets", "original", "records")
@@ -75,36 +68,27 @@ class AuxiliaryInstance:
         self.original = original
         self.records = records
 
-    def original_edge_ids(self, selected: list[int]) -> list[int]:
-        out = []
-        for eid in selected:
-            tag = self.graph.edges[eid].tag
-            if tag[0] == ORIGINAL:
-                out.append(tag[1])
-        return out
 
-
-def _add_half(mg: MultiGraph, gid_edges, hub: int, v: int, w: int, gidx: int) -> int:
-    eid = mg.add_edge(hub, v, w, (HALF_EDGE, gidx, v))
-    gid_edges.setdefault(hub, []).append((eid, v))
-    return eid
+def _add_half(mg: MultiGraph, gid_edges, hub: int, v: int, w: int) -> None:
+    gid_edges.setdefault(hub, []).append((mg.add_edge(hub, v, w), v))
 
 
 def build_auxiliary(
     g: Graph,
     records: list[ForbiddenSubgraph],
-    potentials: dict[int, PotentialFunction],
+    potentials: dict[int, dict[int, int]],
 ) -> AuxiliaryInstance:
     """Steps one and two of the solve: build (G', w', l, b).
 
     ``records`` is the classified detection output; gadgets are attached
     to every problematic clique/biclique/partite record and every dense
     cluster whose minimum-potential core vertex is non-negative.
-    ``potentials`` must contain an entry for each such record.
+    ``potentials`` must contain an entry for each such record and each
+    dense cluster.
     """
     mg = MultiGraph(g.n)
     for (u, v, w) in g.edges:
-        mg.add_edge(u, v, w, (ORIGINAL, g.edge_id(u, v)))
+        mg.add_edge(u, v, w)
 
     lower = [0] * g.n
     upper = [0] * g.n
@@ -118,29 +102,23 @@ def build_auxiliary(
     # problematic record and dense cluster is.
     targets = []
     for r in records:
-        if r.kind == DENSE:
+        if r.kind == DENSE or r.problematic:
             pf = potentials.get(r.id)
             if pf is None:
-                raise InternalError(f"missing potentials for dense cluster {r.id}")
-            if min(pf.value(v) for v in r.core) >= 0:
-                targets.append(r)
-        elif r.problematic:
-            targets.append(r)
+                raise InternalError(f"missing potentials for record {r.id}")
+            if r.kind != DENSE or min(pf[v] for v in r.core) >= 0:
+                targets.append((r, pf))
 
     gadgets: list[GadgetInfo] = []
-    for r in targets:
-        pf = potentials.get(r.id)
-        if pf is None:
-            raise InternalError(f"missing potentials for record {r.id}")
-        gidx = len(gadgets)
-        info = GadgetInfo(kind=r.kind, subgraph_id=r.id)
+    for (r, pf) in targets:
+        info = GadgetInfo(r.kind, r.id)
         if r.kind == CLIQUE:
             hub = mg.add_vertex()
             lower.append(2)
             upper.append(2)
             info.hubs = [hub]
             for v in r.vertices:
-                _add_half(mg, info.half_edges, hub, v, pf.value(v), gidx)
+                _add_half(mg, info.half_edges, hub, v, pf[v])
         elif r.kind == BICLIQUE:
             for cls in r.classes:
                 hub = mg.add_vertex()
@@ -148,7 +126,7 @@ def build_auxiliary(
                 upper.append(1)
                 info.hubs.append(hub)
                 for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf.value(v), gidx)
+                    _add_half(mg, info.half_edges, hub, v, pf[v])
         elif r.kind == PARTITE:
             p = len(r.classes)
             collector = mg.add_vertex()
@@ -161,17 +139,15 @@ def build_auxiliary(
                 upper.append(1)
                 info.hubs.append(hub)
                 for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf.value(v), gidx)
-                info.internal_edges.append(
-                    mg.add_edge(hub, collector, 0, (GADGET_INTERNAL, gidx))
-                )
+                    _add_half(mg, info.half_edges, hub, v, pf[v])
+                info.internal_edges.append(mg.add_edge(hub, collector, 0))
         elif r.kind == DENSE:
             # Gadget shape is driven by the classes of any member that are
             # disjoint from the core; the core itself hangs off one doubled
             # hub at its minimum-potential vertex.
             core = set(r.core)
             outside_classes = _outside_classes(r, records, core)
-            center = min(r.core, key=lambda v: (pf.value(v), v))
+            center = min(r.core, key=lambda v: (pf[v], v))
             info.center = center
             # Collector degree p - k, with k = |core|/2: one per outside class.
             collector = mg.add_vertex()
@@ -183,20 +159,16 @@ def build_auxiliary(
             upper.append(2)
             info.center_hub = center_hub
             for _ in range(2):
-                _add_half(mg, info.half_edges, center_hub, center, pf.value(center), gidx)
-                info.internal_edges.append(
-                    mg.add_edge(center_hub, collector, 0, (GADGET_INTERNAL, gidx))
-                )
+                _add_half(mg, info.half_edges, center_hub, center, pf[center])
+                info.internal_edges.append(mg.add_edge(center_hub, collector, 0))
             for cls in outside_classes:
                 hub = mg.add_vertex()
                 lower.append(1)
                 upper.append(1)
                 info.hubs.append(hub)
                 for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf.value(v), gidx)
-                info.internal_edges.append(
-                    mg.add_edge(hub, collector, 0, (GADGET_INTERNAL, gidx))
-                )
+                    _add_half(mg, info.half_edges, hub, v, pf[v])
+                info.internal_edges.append(mg.add_edge(hub, collector, 0))
         else:
             raise InternalError(f"cannot build a gadget for kind {r.kind}")
         gadgets.append(info)

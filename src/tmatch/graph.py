@@ -2,7 +2,8 @@
 
 Two containers live here: :class:`Graph` for the simple input graph of a
 t-matching instance, and :class:`MultiGraph` for the auxiliary instance in
-which gadget edges (including parallel ones) are allowed.
+which gadget edges (including parallel ones) are allowed.  Both store
+edges as plain ``(u, v, weight)`` tuples indexed by edge id.
 
 All weights are integers.  ``Graph`` stores every input weight multiplied
 by two so that half-integral vertex potentials (for example the potentials
@@ -12,11 +13,6 @@ of a triangle with odd weight sums) remain machine integers everywhere.
 from __future__ import annotations
 
 from .errors import InputFormatError, ValidationError
-
-# Edge annotations used by MultiGraph.
-ORIGINAL = "orig"
-HALF_EDGE = "half"
-GADGET_INTERNAL = "gadget"
 
 
 class Graph:
@@ -80,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for (u, _) in self.adj[v]]
-
     def edge_id(self, u: int, v: int) -> int | None:
         """Edge id of (u, v), or None if the pair is not adjacent."""
         return self._edge_index.get((u, v) if u < v else (v, u))
@@ -97,58 +90,43 @@ class Graph:
         return sum(w for (_, _, w) in self.edges)
 
 
-class MEdge:
-    """Edge of the auxiliary multigraph.
+class MultiGraph:
+    """Undirected multigraph; parallel edges allowed, weights may be negative.
 
-    ``tag`` records provenance: ``(ORIGINAL, edge_id)`` for a copied input
-    edge, ``(HALF_EDGE, gadget_id, original_vertex)`` for a half-edge, and
-    ``(GADGET_INTERNAL, gadget_id)`` for a weight-0 internal gadget edge.
+    ``edges`` holds ``(u, v, w)`` tuples in id order and ``deg`` the
+    number of edge ends at each vertex.  Edges carry no annotations: the
+    auxiliary instance knows which edge is what from its edge ids.
     """
 
-    __slots__ = ("u", "v", "w", "tag")
-
-    def __init__(self, u: int, v: int, w: int, tag: tuple):
-        self.u = u
-        self.v = v
-        self.w = w
-        self.tag = tag
-
-
-class MultiGraph:
-    """Undirected multigraph; parallel edges allowed, weights may be negative."""
-
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "deg")
 
     def __init__(self, n: int):
         self.n = n
-        self.edges: list[MEdge] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.edges: list[tuple[int, int, int]] = []
+        self.deg: list[int] = [0] * n
 
     def add_vertex(self) -> int:
-        self.adj.append([])
+        self.deg.append(0)
         self.n += 1
         return self.n - 1
 
-    def add_edge(self, u: int, v: int, w: int, tag: tuple) -> int:
+    def add_edge(self, u: int, v: int, w: int) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
             raise InputFormatError(f"bad multigraph edge ({u},{v})")
-        if tag[0] == HALF_EDGE and not (0 <= tag[2] < self.n):
-            raise InputFormatError("half-edge annotation names an unknown vertex")
-        eid = len(self.edges)
-        self.edges.append(MEdge(u, v, w, tag))
-        self.adj[u].append(eid)
-        self.adj[v].append(eid)
-        return eid
+        self.edges.append((u, v, w))
+        self.deg[u] += 1
+        self.deg[v] += 1
+        return len(self.edges) - 1
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.deg[v]
 
     def weights(self) -> list[int]:
-        return [e.w for e in self.edges]
+        return [w for (_, _, w) in self.edges]
 
 
 class CapacityVector:

@@ -1,14 +1,14 @@
 """Degree-interval constrained matchings on multigraphs.
 
 A subset M of edges is an (l,b)-matching when every vertex v is incident
-to between lower[v] and upper[v] of its edges.  Minimum/maximum weight
-and minimum cardinality solves all reduce to one maximum weight matching
-that must cover a *required* set of vertices.  After edges at
-zero-capacity vertices are dropped, a vertex v of degree d with interval
-[l, u] is split once:
+to between lower[v] and upper[v] of its edges.  :func:`solve_lb` finds
+one of minimum weight (negate the weights to maximize) as a maximum
+weight matching that must cover a *required* set of vertices.  After
+edges at zero-capacity vertices are dropped, a vertex v of degree d with
+interval [l, u] is split once:
 
 * every edge becomes an edge between two externals, one per edge end,
-  carrying the edge's weight;
+  carrying the edge's negated weight;
 * a vertex with l = 0 and u = d is left unsplit: its externals are
   optional, so any subset of its edges may be chosen;
 * any other vertex gets d - u required and u - l optional internals,
@@ -22,14 +22,10 @@ objectives ride on the same split with unit weights.
 
 from __future__ import annotations
 
-from .blossom import (
-    MAX_ENGINE_VERTICES,
-    MatchingCertificate,
-    maximum_weight_perfect_matching,
-)
+from .blossom import MAX_ENGINE_VERTICES, maximum_weight_perfect_matching
 from .errors import InfeasibleError, InstanceTooLargeError, InternalError
 from .gadgets import AuxiliaryInstance
-from .graph import ORIGINAL, CapacityVector, MultiGraph
+from .graph import CapacityVector, MultiGraph
 
 
 class ExpandedInstance:
@@ -46,37 +42,25 @@ class ExpandedInstance:
 
 
 class LbMatching:
-    """A feasible (l,b)-matching with its engine certificate."""
+    """A feasible (l,b)-matching; the engine verified its own optimum."""
 
-    __slots__ = ("edge_ids", "degrees", "weight", "certificate", "expanded")
+    __slots__ = ("edge_ids", "degrees", "weight", "expanded")
 
     def __init__(
         self,
         edge_ids: list[int],
         degrees: list[int],
         weight: int,
-        certificate: MatchingCertificate,
         expanded: ExpandedInstance,
     ):
         self.edge_ids = edge_ids
         self.degrees = degrees
         self.weight = weight
-        self.certificate = certificate
         self.expanded = expanded
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.edge_ids)
 
-
-def solve_lb(
-    mg: MultiGraph,
-    cap: CapacityVector,
-    weights: list[int],
-    *,
-    maximize: bool,
-) -> LbMatching:
-    """Optimal-weight (l,b)-matching via the single-copy split.
+def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatching:
+    """Minimum weight (l,b)-matching via the single-copy split.
 
     ``weights`` may be any integers (they override the multigraph's own
     edge weights, which lets callers apply objective transforms).  Raises
@@ -84,18 +68,16 @@ def solve_lb(
     """
     lower = list(cap.lower)
     upper = [min(cap.upper[v], mg.degree(v)) for v in range(mg.n)]
-    sign = 1 if maximize else -1
-    w_eff = [sign * w for w in weights]
 
     # Edges at a zero-capacity vertex can never be matched.  Dropping them
     # lowers effective degrees, so upper bounds clamp once more; a vertex
     # clamped to zero has no edge left, so nothing cascades further.
-    keep = [upper[e.u] > 0 and upper[e.v] > 0 for e in mg.edges]
+    keep = [upper[u] > 0 and upper[v] > 0 for (u, v, _) in mg.edges]
     deg_eff = [0] * mg.n
-    for eid, e in enumerate(mg.edges):
+    for eid, (u, v, _) in enumerate(mg.edges):
         if keep[eid]:
-            deg_eff[e.u] += 1
-            deg_eff[e.v] += 1
+            deg_eff[u] += 1
+            deg_eff[v] += 1
     for v in range(mg.n):
         upper[v] = min(upper[v], deg_eff[v])
         if lower[v] > upper[v]:
@@ -117,10 +99,10 @@ def solve_lb(
     ext_of_vertex: list[list[int]] = [[] for _ in range(mg.n)]
     hat_edges: list[tuple[int, int, int]] = []
     for i, eid in enumerate(kept):
-        e = mg.edges[eid]
-        ext_of_vertex[e.u].append(2 * i)
-        ext_of_vertex[e.v].append(2 * i + 1)
-        hat_edges.append((2 * i, 2 * i + 1, w_eff[eid]))
+        (u, v, _) = mg.edges[eid]
+        ext_of_vertex[u].append(2 * i)
+        ext_of_vertex[v].append(2 * i + 1)
+        hat_edges.append((2 * i, 2 * i + 1, -weights[eid]))
     required = [False] * (2 * len(kept))
     for v in range(mg.n):
         if not split[v]:
@@ -143,13 +125,14 @@ def solve_lb(
         hat_edges=len(hat_edges),
     )
 
-    mate, _, cert = maximum_weight_perfect_matching(n_hat, hat_edges, required=required)
+    mate, _, _ = maximum_weight_perfect_matching(n_hat, hat_edges, required=required)
     picked = [eid for i, eid in enumerate(kept) if mate[2 * i] == 2 * i + 1]
 
     degrees = [0] * mg.n
-    for e in picked:
-        degrees[mg.edges[e].u] += 1
-        degrees[mg.edges[e].v] += 1
+    for eid in picked:
+        (u, v, _) = mg.edges[eid]
+        degrees[u] += 1
+        degrees[v] += 1
     for v in range(mg.n):
         if not (lower[v] <= degrees[v] <= upper[v]):
             raise InternalError(f"capacity violated at vertex {v} after expansion solve")
@@ -158,7 +141,6 @@ def solve_lb(
         edge_ids=picked,
         degrees=degrees,
         weight=sum(weights[e] for e in picked),
-        certificate=cert,
         expanded=expanded,
     )
 
@@ -177,13 +159,13 @@ def _tightened_upper(
     """
     needy = [1 if lower[v] >= 1 else 0 for v in range(mg.n)]
     room = [0] * mg.n
-    for eid, e in enumerate(mg.edges):
+    for eid, (u, v, _) in enumerate(mg.edges):
         if costs[eid] < 0:
-            room[e.u] += 1
-            room[e.v] += 1
+            room[u] += 1
+            room[v] += 1
         else:
-            room[e.u] += needy[e.v]
-            room[e.v] += needy[e.u]
+            room[u] += needy[v]
+            room[v] += needy[u]
     new_up = [min(upper[v], max(lower[v], room[v])) for v in range(mg.n)]
     return CapacityVector(lower, new_up)
 
@@ -200,15 +182,15 @@ def solve_min_weight_lb(
     scale = mg.m + 1
     lex = [w * scale + 1 for w in weights]
     cap_used = _tightened_upper(mg, cap.lower, cap.upper, lex)
-    res = solve_lb(mg, cap_used, lex, maximize=False)
+    res = solve_lb(mg, cap_used, lex)
     true_weight = sum(weights[e] for e in res.edge_ids)
-    return LbMatching(res.edge_ids, res.degrees, true_weight, res.certificate, res.expanded)
+    return LbMatching(res.edge_ids, res.degrees, true_weight, res.expanded)
 
 
 def solve_min_cardinality_lb(mg: MultiGraph, cap: CapacityVector) -> LbMatching:
     """(l,b)-matching with the fewest edges: a minimum weight solve with
     unit weights."""
-    return solve_lb(mg, cap, [1] * mg.m, maximize=False)
+    return solve_lb(mg, cap, [1] * mg.m)
 
 
 def greedy_feasible(aux: AuxiliaryInstance) -> tuple[list[int], list[int]]:
@@ -223,9 +205,10 @@ def greedy_feasible(aux: AuxiliaryInstance) -> tuple[list[int], list[int]]:
     deg = [0] * mg.n
 
     def take(eid: int) -> None:
+        (u, v, _) = mg.edges[eid]
         picked.append(eid)
-        deg[mg.edges[eid].u] += 1
-        deg[mg.edges[eid].v] += 1
+        deg[u] += 1
+        deg[v] += 1
 
     for info in aux.gadgets:
         # The collector fills up from hubs other than a dense center hub,
@@ -233,7 +216,7 @@ def greedy_feasible(aux: AuxiliaryInstance) -> tuple[list[int], list[int]]:
         if info.collector >= 0:
             links = [
                 e for e in info.internal_edges
-                if info.center_hub not in (mg.edges[e].u, mg.edges[e].v)
+                if info.center_hub not in mg.edges[e][:2]
             ]
             for eid in links[:lower[info.collector]]:
                 take(eid)
@@ -243,11 +226,7 @@ def greedy_feasible(aux: AuxiliaryInstance) -> tuple[list[int], list[int]]:
     for v in range(g.n):
         if g.degree(v) == g.t + 1 and deg[v] == 0:
             best, slack = -1, -1
-            for eid in mg.adj[v]:
-                e = mg.edges[eid]
-                if e.tag[0] != ORIGINAL:
-                    continue
-                other = e.v if e.u == v else e.u
+            for (other, eid) in g.adj[v]:
                 room = aux.capacities.upper[other] - deg[other]
                 if room > slack:
                     best, slack = eid, room
@@ -282,7 +261,7 @@ def count_weight_identity(aux: AuxiliaryInstance, m: LbMatching) -> int:
     tally: its two half-edges count one half each, and each collector edge
     counts one, so a gadget adds 1 plus its collector's lower bound.
     """
-    wd = sum(aux.graph.edges[e].w for e in m.edge_ids)
+    wd = sum(aux.graph.edges[e][2] for e in m.edge_ids)
     num = 2 * len(m.edge_ids) - wd
     if num % 2 != 0:
         raise InternalError("count/weight difference is not an integer")

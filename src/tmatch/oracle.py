@@ -188,8 +188,7 @@ def brute_force_lb(
     incident_after = [[0] * (m + 1) for _ in range(n)]
     for v in range(n):
         for i in range(m - 1, -1, -1):
-            e = mg.edges[i]
-            incident_after[v][i] = incident_after[v][i + 1] + (1 if v in (e.u, e.v) else 0)
+            incident_after[v][i] = incident_after[v][i + 1] + (1 if v in mg.edges[i][:2] else 0)
 
     best: tuple[int, int] | None = None
     best_card: int | None = None
@@ -214,14 +213,14 @@ def brute_force_lb(
                 if best_card is None or k < best_card:
                     best_card = k
             return
-        e = mg.edges[i]
+        (u, v, _) = mg.edges[i]
         rec(i + 1, w, k)
-        if deg[e.u] < upper[e.u] and deg[e.v] < upper[e.v]:
-            deg[e.u] += 1
-            deg[e.v] += 1
+        if deg[u] < upper[u] and deg[v] < upper[v]:
+            deg[u] += 1
+            deg[v] += 1
             rec(i + 1, w + weights[i], k + 1)
-            deg[e.u] -= 1
-            deg[e.v] -= 1
+            deg[u] -= 1
+            deg[v] -= 1
 
     rec(0, 0, 0)
     if best is None or best_card is None:

@@ -17,7 +17,7 @@ from .detect import DENSE, ForbiddenSubgraph
 from .errors import InternalError
 from .gadgets import build_auxiliary, gadget_stats
 from .graph import Graph
-from .potentials import PotentialFunction, extract_potential, unit_potentials
+from .potentials import extract_potential, unit_potentials
 from .recover import SolveResult
 from .variant import Variant
 
@@ -35,10 +35,10 @@ def prepare(g: Graph, variant: Variant):
     Raises NotVertexInducedError if the weighted instance fails the
     vertex-induced precondition on any forbidden subgraph.
     """
-    records, inter, stats = _detect.find_all_forbidden(g, variant)
+    records, pairs, stats = _detect.find_all_forbidden(g, variant)
     dense = _detect.find_dense(g, records)
 
-    potentials: dict[int, PotentialFunction] = {}
+    potentials: dict[int, dict[int, int]] = {}
     for r in records:
         # A dense member never gets a gadget, and its cluster's check
         # below covers every edge among the cluster's vertices.
@@ -56,7 +56,7 @@ def prepare(g: Graph, variant: Variant):
             potentials[r.id] = extract_potential(g, r, members=members)
 
     all_records = records + dense
-    nbrs = _detect.classify_problematic(all_records, inter)
+    nbrs = _detect.classify_problematic(all_records, pairs)
     return all_records, nbrs, potentials, stats
 
 
@@ -76,7 +76,7 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
     else:
         m = _lb.solve_min_weight_lb(aux.graph, aux.capacities, aux.graph.weights())
 
-    aux_weight = sum(aux.graph.edges[e].w for e in m.edge_ids)
+    aux_weight = sum(aux.graph.edges[e][2] for e in m.edge_ids)
     cot = _recover.matching_to_cotmatching(aux, m, diagnostics)
     cot = _recover.cover_unproblematic(g, cot, records, nbrs, diagnostics)
     # Both directions of the complement/matching correspondence hold at

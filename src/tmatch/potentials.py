@@ -4,6 +4,7 @@ A weight function is vertex-induced on a subgraph H when each vertex can
 be given a potential so that every edge of H weighs exactly the sum of its
 endpoint potentials.  All arithmetic here is in doubled units: doubled
 edge weights make the (otherwise half-integral) potentials plain integers.
+A subgraph's potentials are a plain ``dict`` from vertex to value.
 """
 
 from __future__ import annotations
@@ -11,18 +12,6 @@ from __future__ import annotations
 from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
 from .errors import InternalError, NotVertexInducedError
 from .graph import Graph
-
-
-class PotentialFunction:
-    """Per-vertex potentials of one subgraph, in doubled units."""
-
-    __slots__ = ("assignments",)
-
-    def __init__(self, assignments: dict[int, int]):
-        self.assignments = assignments
-
-    def value(self, v: int) -> int:
-        return self.assignments[v]
 
 
 def triangle_potential(w_ab: int, w_ac: int, w_bc: int) -> tuple[int, int, int]:
@@ -45,14 +34,14 @@ def _wd(g: Graph, u: int, v: int) -> int:
     return g.weight_doubled(eid)
 
 
-def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: PotentialFunction) -> bool:
+def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: dict[int, int]) -> bool:
     """True iff pf(u) + pf(v) equals the doubled weight on every edge of h
     (of a dense cluster: on every edge among its vertices)."""
     if h.kind == DENSE:
         edges = (g.edges[e] for e in h.edge_ids)
     else:
         edges = ((u, v, _wd(g, u, v)) for (u, v) in h.edge_pairs())
-    return all(pf.value(u) + pf.value(v) == wd for (u, v, wd) in edges)
+    return all(pf[u] + pf[v] == wd for (u, v, wd) in edges)
 
 
 def _extract_biclique(g: Graph, classes) -> dict[int, int]:
@@ -90,8 +79,8 @@ def extract_potential(
     h: ForbiddenSubgraph,
     *,
     members: list[ForbiddenSubgraph] | None = None,
-) -> PotentialFunction:
-    """Extract a potential function of ``h`` from the edge weights.
+) -> dict[int, int]:
+    """Extract the potentials of ``h`` from the edge weights.
 
     For dense clusters the potentials are read off any absorbed member
     (pass it via ``members``) and then validated against every induced
@@ -99,18 +88,17 @@ def extract_potential(
     not admit potentials on ``h``.
     """
     if h.kind == CLIQUE:
-        asg = _extract_partite(g, [(v,) for v in h.vertices])
+        pf = _extract_partite(g, [(v,) for v in h.vertices])
     elif h.kind == BICLIQUE:
-        asg = _extract_biclique(g, h.classes)
+        pf = _extract_biclique(g, h.classes)
     elif h.kind == PARTITE:
-        asg = _extract_partite(g, h.classes)
+        pf = _extract_partite(g, h.classes)
     elif h.kind == DENSE:
         if not members:
             raise InternalError("dense extraction needs a member subgraph")
-        asg = _extract_partite(g, members[0].classes)
+        pf = _extract_partite(g, members[0].classes)
     else:
         raise InternalError(f"unknown subgraph kind {h.kind}")
-    pf = PotentialFunction(asg)
     if not verify_vertex_induced(g, h, pf):
         raise NotVertexInducedError(
             f"weights are not vertex-induced on {h.kind} {h.vertices}", h.id
@@ -118,6 +106,6 @@ def extract_potential(
     return pf
 
 
-def unit_potentials(h: ForbiddenSubgraph) -> PotentialFunction:
+def unit_potentials(h: ForbiddenSubgraph) -> dict[int, int]:
     """Potentials for the unweighted mode: one half per vertex (doubled: 1)."""
-    return PotentialFunction({v: 1 for v in h.vertices})
+    return {v: 1 for v in h.vertices}

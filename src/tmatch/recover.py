@@ -12,7 +12,7 @@ from __future__ import annotations
 from .detect import BICLIQUE, CLIQUE, DENSE, ForbiddenSubgraph
 from .errors import InternalError
 from .gadgets import AuxiliaryInstance
-from .graph import ORIGINAL, Graph
+from .graph import Graph
 from .lb import LbMatching
 
 
@@ -83,16 +83,16 @@ def matching_to_cotmatching(
 ) -> CoTMatching:
     """Translate an auxiliary (l,b)-matching into a co-t-matching.
 
-    Original edges carry over; each gadget contributes the edge its two
-    chosen half-edges stand for.  Dense gadgets need the full case split:
-    when both chosen half-edges sit on the cluster center, either an edge
-    inside the core is split through the center or two core-boundary edges
-    are rewired through it.
+    Original edges (the first ``g.m`` auxiliary ids) carry over; each
+    gadget contributes the edge its two chosen half-edges stand for.
+    Dense gadgets need the full case split: when both chosen half-edges
+    sit on the cluster center, either an edge inside the core is split
+    through the center or two core-boundary edges are rewired through it.
     """
     g = aux.original
-    mg = aux.graph
     chosen = set(m.edge_ids)
-    cot = CoTMatching(g, aux.original_edge_ids(m.edge_ids))
+    original = [eid for eid in m.edge_ids if eid < g.m]
+    cot = CoTMatching(g, original)
     diags = diagnostics if diagnostics is not None else []
 
     for info in aux.gadgets:
@@ -121,28 +121,22 @@ def matching_to_cotmatching(
         if a != center:
             raise InternalError("doubled half-edges must sit on the cluster center")
         core = set(aux.records[info.subgraph_id].core)
+        rest = core - {center}
         inner = [
-            eid
-            for eid in m.edge_ids
-            if mg.edges[eid].tag[0] == ORIGINAL
-            and mg.edges[eid].u in core - {center}
-            and mg.edges[eid].v in core - {center}
+            eid for eid in original if g.edges[eid][0] in rest and g.edges[eid][1] in rest
         ]
         if inner:
-            e = mg.edges[min(inner)]
-            cot.remove_pair(e.u, e.v)
-            cot.add_pair(center, e.u)
-            cot.add_pair(center, e.v)
+            (x, y, _) = g.edges[min(inner)]
+            cot.remove_pair(x, y)
+            cot.add_pair(center, x)
+            cot.add_pair(center, y)
             diags.append({"gadget": info.subgraph_id, "rule": "dense-core-split"})
             continue
         boundary = []
-        for eid in m.edge_ids:
-            e = mg.edges[eid]
-            if e.tag[0] != ORIGINAL:
-                continue
-            (x, y) = (e.u, e.v)
+        for eid in original:
+            (x, y, _) = g.edges[eid]
             for (c, o) in ((x, y), (y, x)):
-                if c in core and c != center and o not in core:
+                if c in rest and o not in core:
                     boundary.append((c, o))
         if len(boundary) < 2:
             raise InternalError("dense rewiring needs two core-boundary edges")

@@ -31,9 +31,6 @@ class Variant:
             raise InputFormatError(f"invalid partite shape p={p}, q={q}")
         return Variant("kpq", p, q)
 
-    def is_restricted(self) -> bool:
-        return self.kind == "restricted"
-
     def validate(self, t: int) -> None:
         if self.kind == "kpq" and (self.p - 1) * self.q != t:
             raise InputFormatError(

@@ -197,6 +197,76 @@ def test_dump_aux(tmp_path, capsys):
     assert kinds == {"orig", "half"}
 
 
+def kpq_text(n, t, p, q, pot, pairs):
+    """A kpq instance whose edge uv weighs pot[u] + pot[v]."""
+    lines = [f"{n} {len(pairs)} {t} kpq", f"{p} {q}"]
+    lines += [f"{u} {v} {pot[u] + pot[v]}" for (u, v) in pairs]
+    return "\n".join(lines) + "\n"
+
+
+# Two disjoint K^3_3's, both problematic, so gadget ids 0 and 1.
+K333_PAIRS = [
+    (u, v)
+    for b in (0, 9)
+    for u in range(b, b + 9)
+    for v in range(u + 1, b + 9)
+    if (u - b) // 3 != (v - b) // 3
+]
+K333_POT = [1, 2, 3, 1, 2, 3, 1, 2, 3, 3, 1, 1, 2, 2, 1, 1, 3, 2]
+K333_GADGET_LINES = """\
+19 0 2 half 0
+19 1 4 half 0
+19 2 6 half 0
+19 18 0 gadget 0
+20 3 2 half 0
+20 4 4 half 0
+20 5 6 half 0
+20 18 0 gadget 0
+21 6 2 half 0
+21 7 4 half 0
+21 8 6 half 0
+21 18 0 gadget 0
+23 9 6 half 1
+23 10 2 half 1
+23 11 2 half 1
+23 22 0 gadget 1
+24 12 4 half 1
+24 13 4 half 1
+24 14 2 half 1
+24 22 0 gadget 1
+25 15 2 half 1
+25 16 6 half 1
+25 17 4 half 1
+25 22 0 gadget 1
+"""
+# K6 minus the edge (0,1) is one dense cluster with core 2..5 and center 2.
+K6E_PAIRS = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)]
+K6E_POT = [1, 1, 1, 3, 3, 3]
+K6E_GADGET_LINES = """\
+7 2 2 half 0
+7 6 0 gadget 0
+7 2 2 half 0
+7 6 0 gadget 0
+8 0 2 half 0
+8 1 2 half 0
+8 6 0 gadget 0
+"""
+
+
+@pytest.mark.parametrize("instance, gadget_lines", [
+    ((18, 6, 3, 3, K333_POT, K333_PAIRS), K333_GADGET_LINES),
+    ((6, 4, 3, 2, K6E_POT, K6E_PAIRS), K6E_GADGET_LINES),
+])
+def test_dump_aux_gadget_lines(tmp_path, capsys, instance, gadget_lines):
+    # The input edges come first, in input order with doubled weights; the
+    # gadget lines are pinned byte for byte.
+    (n, t, p, q, pot, pairs) = instance
+    rc = main(["solve", write(tmp_path, kpq_text(n, t, p, q, pot, pairs)), "--dump-aux"])
+    assert rc == 0
+    orig = "".join(f"{u} {v} {2 * (pot[u] + pot[v])} orig -1\n" for (u, v) in pairs)
+    assert capsys.readouterr().out == orig + gadget_lines
+
+
 def test_deterministic_output(tmp_path, capsys):
     p = write(tmp_path, K4)
     main(["solve", p, "--json"])

@@ -65,7 +65,7 @@ def t_core(g, removed, t):
     """Vertices of the t-core of g minus ``removed``, peeled naively."""
     alive = set(range(g.n)) - set(removed)
     while True:
-        low = [v for v in alive if sum(u in alive for u in g.neighbors(v)) < t]
+        low = [v for v in alive if sum(u in alive for (u, _) in g.adj[v]) < t]
         if not low:
             return alive
         alive -= set(low)
@@ -91,7 +91,7 @@ def test_strip_keeps_the_t_core_under_random_removals():
             alive = {v for v in range(g.n) if R.alive[v]}
             assert alive == t_core(g, removed, t), (trial, removed)
             for v in alive:
-                assert R.deg[v] == sum(u in alive for u in g.neighbors(v))
+                assert R.deg[v] == sum(u in alive for (u, _) in g.adj[v])
 
 
 # --- find_partner ----------------------------------------------------------
@@ -105,13 +105,13 @@ def test_partner_cycle_none():
 def test_partner_k4(k4):
     z = find_partner(residual(k4), 0, 4, 1)
     assert z is not None
-    assert len(set(k4.neighbors(0)) & set(k4.neighbors(z))) >= 2
+    assert len({u for (u, _) in k4.adj[0]} & {u for (u, _) in k4.adj[z]}) >= 2
 
 
 def test_partner_k33(k33):
     z = find_partner(residual(k33), 0, 2, 3)
     assert z is not None
-    assert len(set(k33.neighbors(0)) & set(k33.neighbors(z))) >= 3
+    assert len({u for (u, _) in k33.adj[0]} & {u for (u, _) in k33.adj[z]}) >= 3
 
 
 # --- find_kpq_at ------------------------------------------------------------
@@ -165,14 +165,14 @@ def test_find_all_two_disjoint_k4():
     g = plant_forbidden(Graph(0, [], 3), "clique", 2, 1)
     got, records, inter = detected_set(g, Variant.restricted())
     assert len(got) == 2
-    assert inter.pairs == set()
+    assert inter == set()
 
 
 def test_find_all_k5_cliques_all_pairs():
     g = complete_graph(5, 3)
     got, records, inter = detected_set(g, Variant.restricted())
     assert len(got) == 5
-    assert len(inter.pairs) == 10  # any two 4-cliques in K5 intersect
+    assert len(inter) == 10  # any two 4-cliques in K5 intersect
 
 
 def test_detection_equality_random():
@@ -211,7 +211,7 @@ def test_intersection_size_laws():
     for trial in range(30):
         g = random_bounded(rng.randint(4, 12), 3, 0.8, trial)
         records, inter, _ = find_all_forbidden(g, Variant.restricted())
-        for (a, b) in inter.pairs:
+        for (a, b) in inter:
             ra, rb = records[a], records[b]
             shared = set(ra.vertices) & set(rb.vertices)
             if ra.kind == rb.kind == CLIQUE:
@@ -227,9 +227,9 @@ def test_partite_intersection_law():
     # every q-subset of the pool completes a subgraph.
     g = plant_forbidden(Graph(0, [], 6), "partite_pair", 1, 5, p=3, q=3)
     records, inter, _ = find_all_forbidden(g, Variant.kpq(3, 3))
-    assert len(records) == 4 and len(inter.pairs) == 6
+    assert len(records) == 4 and len(inter) == 6
     assert sorted(r.key() for r in records) == brute_force_subgraphs(g, Variant.kpq(3, 3))
-    for (a, b) in inter.pairs:
+    for (a, b) in inter:
         shared = set(records[a].vertices) & set(records[b].vertices)
         assert len(shared) >= 3 * 3 - 1
 
@@ -330,7 +330,7 @@ def assert_driver_matches_probing(g, var):
         for a, b in itertools.combinations(records, 2)
         if set(a.vertices) & set(b.vertices)
     }
-    assert pairs == inter.pairs
+    assert pairs == inter
 
 
 def test_driver_matches_exhaustive_probing_midscale():
@@ -485,6 +485,27 @@ def test_enclosed_base_vertices_are_not_searched(monkeypatch):
     records, _, _ = find_all_forbidden(g, Variant.kpq(3, 2))
     assert len(records) == 5 * 15
     assert sorted(v // 6 for v in calls) == list(range(5))
+
+
+def test_base_vertex_with_neighbours_in_the_base_is_not_searched(monkeypatch):
+    # K_{4,3}: the first K_{3,3} found is 0,2,3 | 4,5,6, found at 0 with
+    # partner 1.  Vertex 2's neighbours all lie in that base, but each of
+    # them also meets 1 outside it.  The K_{3,3}'s through 2 that leave the
+    # base contain 1 and 4, whose searches list them, so 2 is not searched.
+    calls = []
+    find_at = detect._find_at
+
+    def counting(R, v, p, q):
+        calls.append((p, q, v))
+        return find_at(R, v, p, q)
+
+    monkeypatch.setattr(detect, "_find_at", counting)
+    g = Graph(7, [(a, b, 1) for a in range(4) for b in range(4, 7)], 3)
+    records, _, _ = find_all_forbidden(g, Variant.restricted())
+    searched = [v for (p, q, v) in calls if (p, q) == (2, 3)]
+    assert records[0].vertices == (0, 2, 3, 4, 5, 6)
+    assert 2 not in searched and 3 not in searched
+    assert sorted(r.key() for r in records) == brute_force_subgraphs(g, Variant.restricted())
 
 
 # --- golden record order ------------------------------------------------------

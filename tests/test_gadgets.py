@@ -1,7 +1,7 @@
 from tmatch.detect import DENSE, find_all_forbidden
 from tmatch.gadgets import build_auxiliary, gadget_stats
 from tmatch.generators import plant_forbidden, reweighted
-from tmatch.graph import Graph, HALF_EDGE
+from tmatch.graph import Graph
 from tmatch.pipeline import prepare
 from tmatch.variant import Variant
 
@@ -13,14 +13,24 @@ def build(g, variant):
     return build_auxiliary(g, records, potentials), records
 
 
+def half_edges(aux):
+    """The (u, v, w) tuples of every half-edge, gadget by gadget."""
+    return [
+        aux.graph.edges[eid]
+        for info in aux.gadgets
+        for pairs in info.half_edges.values()
+        for (eid, _) in pairs
+    ]
+
+
 def test_clique_gadget_shape(k4):
     aux, _ = build(k4, Variant.restricted())
     assert aux.graph.n == 5
     hub = 4
     assert aux.capacities.lower[hub] == aux.capacities.upper[hub] == 2
-    halves = [e for e in aux.graph.edges if e.tag[0] == HALF_EDGE]
+    halves = half_edges(aux)
     assert len(halves) == 4
-    assert all(e.w == 1 for e in halves)  # doubled half-integral potential
+    assert all(w == 1 for (_, _, w) in halves)  # doubled half-integral potential
     # every vertex of a plain 4-clique has degree t, not t+1, so it keeps
     # the slack interval [0, degree]
     for v in range(4):
@@ -42,13 +52,12 @@ def test_biclique_gadget_shape(k33):
     assert aux.graph.n == 8
     for hub in (6, 7):
         assert aux.capacities.lower[hub] == aux.capacities.upper[hub] == 1
-    halves = [e for e in aux.graph.edges if e.tag[0] == HALF_EDGE]
+    halves = half_edges(aux)
     assert len(halves) == 6
     sides = {hub: set() for hub in (6, 7)}
-    for e in halves:
-        hub = e.u if e.u >= 6 else e.v
-        v = e.v if e.u >= 6 else e.u
-        sides[hub].add(v)
+    for (u, v, _) in halves:
+        hub = u if u >= 6 else v
+        sides[hub].add(v if u >= 6 else u)
     assert sorted(map(sorted, sides.values())) == [[0, 1, 2], [3, 4, 5]]
 
 
@@ -63,11 +72,9 @@ def test_dense_gadget_k6_degenerate_collector():
     hub = info.center_hub
     assert aux.capacities.lower[hub] == aux.capacities.upper[hub] == 2
     # two parallel half-edges at the center, two parallel collector links
-    center_halves = [
-        e for e in aux.graph.edges if e.tag[0] == HALF_EDGE and hub in (e.u, e.v)
-    ]
+    center_halves = [e for e in half_edges(aux) if hub in e[:2]]
     assert len(center_halves) == 2
-    assert {e.u for e in center_halves} | {e.v for e in center_halves} == {hub, info.center}
+    assert {x for (u, v, _) in center_halves for x in (u, v)} == {hub, info.center}
 
 
 def test_partite_gadget_collector_capacity():
@@ -123,7 +130,7 @@ def test_half_edge_pairs_reproduce_edge_weights():
     halves = {}
     for hub, pairs in info.half_edges.items():
         for (eid, v) in pairs:
-            halves[v] = aux.graph.edges[eid].w
+            halves[v] = aux.graph.edges[eid][2]
     rec = [r for r in records if r.id == info.subgraph_id][0]
     for (u, v) in rec.edge_pairs():
         eid = g.edge_id(u, v)

@@ -33,14 +33,14 @@ def test_random_bounded_caps_degree():
 def test_plant_two_cliques_detected():
     g = plant_forbidden(Graph(0, [], 3), "clique", 2, 0)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    assert len(records) == 2 and not inter.pairs
+    assert len(records) == 2 and not inter
 
 
 def test_plant_clique_pair_intersects():
     g = plant_forbidden(Graph(0, [], 3), "clique_pair", 1, 0)
     records, inter, _ = find_all_forbidden(g, Variant.restricted())
-    assert len(records) == 2 and len(inter.pairs) == 1
-    (a, b) = next(iter(inter.pairs))
+    assert len(records) == 2 and len(inter) == 1
+    (a, b) = next(iter(inter))
     assert len(set(records[a].vertices) & set(records[b].vertices)) == 3
 
 

@@ -1,14 +1,17 @@
-"""Every name the package and the tests import is used, and importing
-the package loads nothing beyond it.
+"""Every name the package and the tests import is used, every function,
+class and method the package defines is used, and importing the package
+loads nothing beyond it.
 
 An import left behind by deleted code hides what a module still depends
 on.  ``__future__`` imports and names listed in ``__all__`` count as used.
+A definition that only tests reach is code the solve does not need.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +41,45 @@ def unused_imports(tree: ast.Module) -> list[str]:
         for name, line in sorted(imported.items(), key=lambda kv: kv[1])
         if name not in used
     ]
+
+
+def name_references(node: ast.AST) -> Counter:
+    """How often each name is read, as a variable or as an attribute."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def test_no_dead_definitions():
+    # The benchmark harness counts as a caller.  The oracle's functions are
+    # reference implementations for the tests, so they are exempt.
+    package = sorted((ROOT / "src" / "tmatch").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in package + sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    used = sum((name_references(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path in package:
+        if path.name == "oracle.py":
+            continue
+        defs = []
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+        for node in defs:
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            # A definition's references to itself (recursion) do not count.
+            if used[node.name] == name_references(node)[node.name]:
+                dead.append(f"{path.relative_to(ROOT)} line {node.lineno}: {node.name}")
+    assert not dead, "definitions nothing in src/tmatch or perfbench uses:\n" + "\n".join(dead)
 
 
 def test_no_unused_imports():

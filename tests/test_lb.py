@@ -17,7 +17,7 @@ from tmatch.oracle import brute_force_lb
 def mg_from(n, triples):
     mg = MultiGraph(n)
     for (u, v, w) in triples:
-        mg.add_edge(u, v, w, ("orig", mg.m))
+        mg.add_edge(u, v, w)
     return mg
 
 
@@ -32,7 +32,7 @@ def test_four_cycle_exact():
     mg = mg_from(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
     cap = CapacityVector([1] * 4, [1] * 4)
     res = solve_min_weight_lb(mg, cap, [1, 2, 1, 2])
-    assert res.weight == 2 and res.cardinality == 2
+    assert res.weight == 2 and len(res.edge_ids) == 2
 
 
 def test_empty_lower_bounds():
@@ -53,14 +53,14 @@ def test_min_cardinality_star():
     mg = mg_from(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
     cap = CapacityVector([1, 0, 0, 0], [1, 1, 1, 1])
     res = solve_min_cardinality_lb(mg, cap)
-    assert res.cardinality == 1
+    assert len(res.edge_ids) == 1
 
 
 def test_min_cardinality_cycle_perfect():
     mg = mg_from(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     cap = CapacityVector([1] * 4, [2] * 4)
     res = solve_min_cardinality_lb(mg, cap)
-    assert res.cardinality == 2
+    assert len(res.edge_ids) == 2
 
 
 def _random_instance(rng):
@@ -74,7 +74,7 @@ def _random_instance(rng):
         if u == v:
             v = (v + 1) % n
         w = rng.randint(-20, 20)
-        mg.add_edge(u, v, w, ("orig", mg.m))
+        mg.add_edge(u, v, w)
         weights.append(w)
     lower = [0] * n
     upper = [0] * n
@@ -101,9 +101,9 @@ def test_randomized_against_bruteforce():
             continue
         res = solve_min_weight_lb(mg, cap, weights)
         assert res.weight == want_w
-        assert res.cardinality == want_k  # edge-minimal among optima
+        assert len(res.edge_ids) == want_k  # edge-minimal among optima
         card = solve_min_cardinality_lb(mg, cap)
-        assert card.cardinality == want_card
+        assert len(card.edge_ids) == want_card
         checked += 1
     assert checked > 100
 
@@ -119,7 +119,7 @@ def test_mixed_intervals_against_bruteforce():
         for _ in range(rng.randint(1, 12)):
             u, v = rng.sample(range(n), 2)
             w = rng.randint(-10, 20)
-            mg.add_edge(u, v, w, ("orig", mg.m))
+            mg.add_edge(u, v, w)
             weights.append(w)
         lower, upper = [], []
         for v in range(n):
@@ -143,10 +143,11 @@ def test_mixed_intervals_against_bruteforce():
                 solve_min_weight_lb(mg, cap, weights)
             continue
         res = solve_min_weight_lb(mg, cap, weights)
-        assert (res.weight, res.cardinality) == (want_w, want_k)
-        assert solve_min_cardinality_lb(mg, cap).cardinality == want_card
+        assert (res.weight, len(res.edge_ids)) == (want_w, want_k)
+        assert len(solve_min_cardinality_lb(mg, cap).edge_ids) == want_card
+        # Maximizing is minimizing the negated weights.
         best_max, _, _ = brute_force_lb(mg, cap, [-w for w in weights])
-        assert solve_lb(mg, cap, weights, maximize=True).weight == -best_max
+        assert solve_lb(mg, cap, [-w for w in weights]).weight == best_max
         checked += 1
     assert checked > 80
 
@@ -168,7 +169,7 @@ def test_capped_cardinality_matches_uncapped():
         aux = build_auxiliary(g, records, potentials)
         capped = solve_min_cardinality_capped(aux)
         uncapped = solve_min_cardinality_lb(aux.graph, aux.capacities)
-        assert capped.cardinality == uncapped.cardinality
+        assert len(capped.edge_ids) == len(uncapped.edge_ids)
 
 
 def test_expansion_shape_matches_construction():
@@ -176,7 +177,7 @@ def test_expansion_shape_matches_construction():
     # at degree 2, so it gets one optional internal and no required one.
     mg = mg_from(3, [(0, 1, 4), (1, 2, 1)])
     cap = CapacityVector([0, 1, 0], [1, 2, 1])
-    res = solve_lb(mg, cap, [4, 1], maximize=True)
+    res = solve_lb(mg, cap, [-4, -1])
     ex = res.expanded
     assert (ex.star_vertices, ex.star_edges) == (3, 2)
     assert ex.hat_vertices == 2 * 2 + 1
@@ -188,7 +189,7 @@ def test_expansion_shape_matches_construction():
     # [0, 1] at 3 (one required, one optional), 4m' - sum(l) in all.
     mg = mg_from(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)])
     cap = CapacityVector([2, 0, 1, 0], [2, 0, 3, 1])
-    res = solve_lb(mg, cap, [1] * 5, maximize=False)
+    res = solve_lb(mg, cap, [1] * 5)
     ex = res.expanded
     assert (ex.star_vertices, ex.star_edges) == (4, 3)
     assert ex.hat_vertices == 4 * 3 - 3
@@ -205,4 +206,4 @@ def test_size_gate_fires_before_expansion(monkeypatch):
     k = MAX_ENGINE_VERTICES // 2 + 1
     mg = mg_from(2, [(0, 1, 1)] * k)
     with pytest.raises(InstanceTooLargeError, match="lb expansion"):
-        solve_lb(mg, CapacityVector([k, k], [k, k]), [1] * k, maximize=True)
+        solve_lb(mg, CapacityVector([k, k], [k, k]), [-1] * k)

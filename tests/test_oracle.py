@@ -45,7 +45,7 @@ def test_subgraphs_k6_fifteen_pairings():
 def test_lb_star():
     mg = MultiGraph(4)
     for (i, w) in ((1, 3), (2, 1), (3, 2)):
-        mg.add_edge(0, i, w, ("orig", mg.m))
+        mg.add_edge(0, i, w)
     cap = CapacityVector([1, 0, 0, 0], [1, 1, 1, 1])
     w, k, card = brute_force_lb(mg, cap, [3, 1, 2])
     assert (w, k, card) == (1, 1, 1)
@@ -53,7 +53,7 @@ def test_lb_star():
 
 def test_lb_infeasible():
     mg = MultiGraph(2)
-    mg.add_edge(0, 1, 1, ("orig", 0))
+    mg.add_edge(0, 1, 1)
     with pytest.raises(InfeasibleError):
         brute_force_lb(mg, CapacityVector([2, 0], [2, 1]), [1])
 
@@ -61,7 +61,7 @@ def test_lb_infeasible():
 def test_lb_cycle():
     mg = MultiGraph(4)
     for i, w in enumerate([1, 2, 1, 2]):
-        mg.add_edge(i, (i + 1) % 4, w, ("orig", mg.m))
+        mg.add_edge(i, (i + 1) % 4, w)
     cap = CapacityVector([1] * 4, [1] * 4)
     w, k, card = brute_force_lb(mg, cap, [1, 2, 1, 2])
     assert (w, k, card) == (2, 2, 2)

@@ -4,7 +4,6 @@ from tmatch.generators import plant_forbidden, reweighted
 from tmatch.graph import Graph
 from tmatch.lb import greedy_feasible, solve_min_weight_lb
 from tmatch.pipeline import prepare
-from tmatch.potentials import PotentialFunction
 from tmatch.recover import CoTMatching, cover_unproblematic
 from tmatch.variant import Variant
 
@@ -121,8 +120,8 @@ def test_greedy_feasible_on_every_gadget_kind():
         picked, returned = greedy_feasible(aux)  # raises if infeasible
         deg = [0] * aux.graph.n
         for e in picked:
-            deg[aux.graph.edges[e].u] += 1
-            deg[aux.graph.edges[e].v] += 1
+            for x in aux.graph.edges[e][:2]:
+                deg[x] += 1
         assert returned == deg
         for v in range(aux.graph.n):
             assert aux.capacities.lower[v] <= deg[v] <= aux.capacities.upper[v]
@@ -196,23 +195,16 @@ def test_dense_rewire_translation():
     assert info.kind == "dense" and info.center == 2
     chosen = [eid for (eid, _) in info.half_edges[info.center_hub]]
     hub = info.hubs[0]
-    chosen += [
-        e for e in info.internal_edges
-        if hub in (aux.graph.edges[e].u, aux.graph.edges[e].v)
-    ]
-    for (u, v) in [(3, 0), (4, 1), (5, 0)]:
-        orig = g.edge_id(u, v)
-        chosen += [
-            eid for eid, e in enumerate(aux.graph.edges)
-            if e.tag == ("orig", orig)
-        ]
+    chosen += [e for e in info.internal_edges if hub in aux.graph.edges[e][:2]]
+    # Input edges keep their ids in the auxiliary instance.
+    chosen += [g.edge_id(u, v) for (u, v) in [(3, 0), (4, 1), (5, 0)]]
     deg = [0] * aux.graph.n
     for e in chosen:
-        deg[aux.graph.edges[e].u] += 1
-        deg[aux.graph.edges[e].v] += 1
+        for x in aux.graph.edges[e][:2]:
+            deg[x] += 1
     for v in range(aux.graph.n):
         assert aux.capacities.lower[v] <= deg[v] <= aux.capacities.upper[v]
-    m = LbMatching(sorted(chosen), deg, 0, None, None)
+    m = LbMatching(sorted(chosen), deg, 0, None)
     diags = []
     cot = matching_to_cotmatching(aux, m, diags)
     assert any(d["rule"] == "dense-rewire" for d in diags)
@@ -234,8 +226,8 @@ def test_biclique_shift_invariance_of_optimum():
         shifted = {}
         for v in rec.vertices:
             side = 0 if v in rec.classes[0] else 1
-            shifted[v] = base.value(v) + (delta if side == 0 else -delta)
-        aux = build_auxiliary(g, records, {rec.id: PotentialFunction(shifted)})
+            shifted[v] = base[v] + (delta if side == 0 else -delta)
+        aux = build_auxiliary(g, records, {rec.id: shifted})
         res = solve_min_weight_lb(aux.graph, aux.capacities, aux.graph.weights())
         results.append(res.weight)
     assert results[0] == results[1] == results[2]
