@@ -129,12 +129,14 @@ def _cmd_solve(args) -> int:
     if args.dump_aux:
         records, _, potentials, _ = prepare(g, variant)
         aux = build_auxiliary(g, records, potentials)
-        # Input edges come first; the gadgets list every later edge.
+        # Input edges come first; the gadgets list every later edge.  A
+        # gadget's lines carry its record id, as the repair diagnostics do.
         label = {}
-        for gid, info in enumerate(aux.gadgets):
+        for info in aux.gadgets:
+            rid = info.subgraph_id
             for halves in info.half_edges.values():
-                label.update((eid, f"half {gid}") for (eid, _) in halves)
-            label.update((eid, f"gadget {gid}") for eid in info.internal_edges)
+                label.update((eid, f"half {rid}") for (eid, _) in halves)
+            label.update((eid, f"gadget {rid}") for eid in info.internal_edges)
         for eid, (u, v, w) in enumerate(aux.graph.edges):
             print(f"{u} {v} {w} {label.get(eid, 'orig -1')}")
         return EXIT_OK

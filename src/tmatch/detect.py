@@ -19,9 +19,10 @@ listed before the base is removed.  A base vertex is skipped when all
 its alive neighbours lie in the base: a subgraph through it that leaves
 the base also runs through a searched base vertex (see ``_enclosed``).
 
-Record weights cost one adjacency walk per distinct vertex set.  The
-records on one set (the K^p_2's of a dense cluster) share its induced
-weight and edge count, and each subtracts the edges inside its classes.
+Each record carries the ids of its edges, derived once here from one
+adjacency walk per distinct vertex set: the records on one set (the
+K^p_2's of a dense cluster) share its induced edges, and each keeps those
+that join two of its classes.  Every later layer reads those ids.
 
 ``DetectionStats.probe_ops`` meters the work so tests can assert the
 linear scaling: every adjacency list read, every adjacency test, and every
@@ -44,10 +45,13 @@ DENSE = "dense"
 class ForbiddenSubgraph:
     """One forbidden subgraph (or a dense cluster of them).
 
-    ``classes`` is empty for cliques and dense clusters.  ``core`` and
-    ``edge_ids`` are only populated for dense clusters: the vertices all of
-    whose neighbors stay inside the cluster, and the ids of the edges
-    among its vertices.  ``weight`` is in doubled units.
+    ``classes`` is empty for cliques and dense clusters.  ``edge_ids`` is
+    the subgraph's edge set, which need not be induced: the edges joining
+    two of its classes (of a clique: all its edges; of a dense cluster:
+    every edge among its vertices, in vertex-pair order).  ``core`` is
+    only populated for dense clusters: the vertices all of whose
+    neighbors stay inside the cluster.  ``weight`` is the doubled sum
+    over ``edge_ids``.
     """
 
     __slots__ = (
@@ -76,23 +80,11 @@ class ForbiddenSubgraph:
         self.problematic = problematic
         self.core = core
         self.member_ids = member_ids  # dense only: absorbed partite records
-        self.edge_ids = edge_ids  # dense only: every edge among the vertices
+        self.edge_ids = edge_ids
         self.in_dense = in_dense  # partite only: id of the dense record absorbing it
 
     def key(self) -> tuple:
         return (self.kind, self.vertices, self.classes)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Unordered vertex pairs forming this subgraph's edge set."""
-        if self.kind == CLIQUE:
-            return list(itertools.combinations(self.vertices, 2))
-        if self.kind == DENSE:
-            raise InternalError("dense clusters do not own an edge set; use members")
-        out = []
-        for i, ci in enumerate(self.classes):
-            for cj in self.classes[i + 1:]:
-                out.extend((min(u, v), max(u, v)) for u in ci for v in cj)
-        return out
 
 
 class DetectionStats:
@@ -188,34 +180,42 @@ def _canon_classes(classes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _subgraph_weight(g: Graph, h: ForbiddenSubgraph, walks: dict) -> int:
-    """Doubled weight of h's edge set.
+def _cross_edges(g: Graph, h: ForbiddenSubgraph, walks: dict) -> tuple[int, ...]:
+    """Ids of h's edges: the edges among its vertices that join two of its
+    classes (of a clique: all of them).
 
-    ``walks`` maps a vertex set to the doubled weight and the number of
-    the edges it induces, filled on first use, so records sharing a vertex
-    set (the members of a dense cluster) walk it once.  Forbidden subgraphs
-    need not be induced: the edges inside h's classes are subtracted, and
-    what remains must be exactly h's cross pairs.
+    ``walks`` maps a vertex set to the ids of the edges it induces, filled
+    on first use, so records sharing a vertex set (the members of a dense
+    cluster) walk it once.  Forbidden subgraphs need not be induced, so
+    the edges inside h's classes are dropped, and what remains must be
+    exactly h's cross pairs.
     """
-    walk = walks.get(h.vertices)
-    if walk is None:
-        vset, edges = set(h.vertices), g.edges
-        ws = [edges[e][2] for u in h.vertices for (x, e) in g.adj[u] if x > u and x in vset]
-        walk = walks[h.vertices] = (sum(ws), len(ws))
-    weight, count = walk
+    ids = walks.get(h.vertices)
+    if ids is None:
+        vset = set(h.vertices)
+        ids = walks[h.vertices] = [
+            e for u in h.vertices for (x, e) in g.adj[u] if x > u and x in vset
+        ]
     k = len(h.vertices)
     cross = k * (k - 1) // 2
-    for c in h.classes:
-        cross -= len(c) * (len(c) - 1) // 2
-        for (u, v) in itertools.combinations(c, 2):
-            eid = g.edge_id(u, v)
-            if eid is not None:
-                weight -= g.weight_doubled(eid)
-                count -= 1
-    if count != cross:
-        (u, v) = next((u, v) for (u, v) in h.edge_pairs() if not g.has_edge(u, v))
+    if h.classes:
+        intra = set()
+        for c in h.classes:
+            cross -= len(c) * (len(c) - 1) // 2
+            for (u, v) in itertools.combinations(c, 2):
+                intra.add(g.edge_id(u, v))
+        ids = [e for e in ids if e not in intra]
+    if len(ids) != cross:
+        side = {x: i for i, c in enumerate(h.classes) for x in c} or {x: x for x in h.vertices}
+        (u, v) = next(
+            (u, v) for (u, v) in itertools.combinations(h.vertices, 2)
+            if side[u] != side[v] and not g.has_edge(u, v)
+        )
         raise InternalError(f"{h.kind} candidate {h.vertices} misses edge ({u},{v})")
-    return weight
+    # Built from a list: a tuple built from a generator is resized as it
+    # grows, and that moves the block to another size's free list, where
+    # such blocks pile up.
+    return tuple(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +474,22 @@ def find_all_forbidden(
     vertex.
 
     ``variant`` is a :class:`~tmatch.pipeline.Variant`.  Each subgraph is
-    reported once (canonical vertex/class key).  Record weights cost one
+    reported once (canonical vertex/class key).  Record edge ids cost one
     adjacency walk per distinct vertex set, cached for this call.  The
     returned stats carry the probe-work counter used by the scaling tests.
     """
     stats = DetectionStats()
     records: list[ForbiddenSubgraph] = []
-    walks: dict[tuple[int, ...], tuple[int, int]] = {}
+    walks: dict[tuple[int, ...], list[int]] = {}
+    edges = g.edges
     # _run_shape emits each record once, and every shape of a variant has
     # its own kind, so records of different shapes never coincide.
     for (p, q) in variant.shapes(g.t):
         kind = _kind_for_shape(p, q)
         for (verts, classes) in _run_shape(g, p, q, stats):
             h = ForbiddenSubgraph(kind, verts, classes, 0, id=len(records))
-            h.weight = _subgraph_weight(g, h, walks)
+            h.edge_ids = _cross_edges(g, h, walks)
+            h.weight = sum([edges[e][2] for e in h.edge_ids])
             records.append(h)
 
     # Two records intersect exactly when some vertex lies on both.
@@ -507,9 +509,20 @@ def find_all_forbidden(
 def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubgraph]:
     """Group same-vertex-set partite subgraphs (q = 2) into dense clusters.
 
-    Each cluster of two or more K^p_2's on one vertex set becomes a single
-    dense record; its core collects the vertices whose whole neighborhood
-    stays inside the cluster.  Member records are tagged as absorbed.
+    Each cluster of two or more K^p_2's on one vertex set V becomes a
+    single dense record whose edges are the union of its members' edges,
+    listed in vertex-pair order.  That union is every edge among V: the
+    non-edges among V are cross pairs of no member, so they form a
+    matching inside every member's classes, and any pairing of V into p
+    classes that contains them is a K^p_2, listed by detection.  An edge
+    uv inside a class of every member joins two vertices on no non-edge,
+    as a vertex on one is paired along it.  If a third vertex z were on
+    no non-edge either, a pairing with the class {u, z} would be a member
+    in which uv is a cross edge; so u and v are the only such vertices,
+    the pairing is forced, and V has one member only.  The core, the
+    vertices all of whose t+1 edges stay inside V, is hence read from the
+    number of cluster edges at each vertex.  Member records are tagged as
+    absorbed.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for r in records:
@@ -520,20 +533,17 @@ def find_dense(g: Graph, records: list[ForbiddenSubgraph]) -> list[ForbiddenSubg
     for verts, ids in sorted(groups.items()):
         if len(ids) < 2:
             continue
-        # One walk of the cluster's adjacency lists finds its core and its
-        # edges, listed in vertex-pair order.
-        vset = set(verts)
-        core: list[int] = []
-        edge_ids: list[int] = []
-        for u in verts:
-            inside = sorted((x, e) for (x, e) in g.adj[u] if x in vset)
-            if len(inside) == len(g.adj[u]) == g.t + 1:
-                core.append(u)
-            edge_ids.extend(e for (x, e) in inside if x > u)
+        edge_ids = sorted(
+            set().union(*(records[i].edge_ids for i in ids)), key=g.edges.__getitem__
+        )
+        inside = dict.fromkeys(verts, 0)
+        for e in edge_ids:
+            (u, v, _) = g.edges[e]
+            inside[u] += 1
+            inside[v] += 1
+        core = [u for u in verts if inside[u] == g.degree(u) == g.t + 1]
         if len(core) < 4 or len(core) % 2 != 0:
-            raise InternalError(
-                f"dense cluster on {verts} has invalid core {tuple(core)}"
-            )
+            raise InternalError(f"dense cluster on {verts} has invalid core {tuple(core)}")
         weight = sum(g.weight_doubled(e) for e in edge_ids)
         rec = ForbiddenSubgraph(
             DENSE, verts, (), weight, id=next_id, core=tuple(core),

@@ -18,24 +18,23 @@ from .graph import CapacityVector, Graph, MultiGraph
 class GadgetInfo:
     """Bookkeeping for one attached gadget.
 
-    ``hubs`` are the per-class subdivision vertices (a single entry for a
-    clique gadget), ``collector`` the degree-(p-2) or (p-k) aggregation
-    vertex of partite/dense gadgets, ``center_hub``/``center`` the doubled
-    attachment of a dense cluster.  ``half_edges`` maps each hub to the
-    list of (edge_id, original_vertex) half-edges it carries, and
+    ``collector`` is the degree-(p-2) or (p-k) aggregation vertex of
+    partite/dense gadgets, ``center_hub``/``center`` the doubled
+    attachment of a dense cluster.  ``half_edges`` maps each hub (a
+    clique's one hub, a per-class subdivision vertex, or the center hub)
+    to the list of (edge_id, original_vertex) half-edges it carries, and
     ``internal_edges`` lists the ids of the weight-0 hub-collector links.
     Together they name every auxiliary edge of the gadget.
     """
 
     __slots__ = (
-        "kind", "subgraph_id", "hubs", "collector", "center_hub", "center",
+        "kind", "subgraph_id", "collector", "center_hub", "center",
         "half_edges", "internal_edges",
     )
 
     def __init__(self, kind: str, subgraph_id: int):
         self.kind = kind
         self.subgraph_id = subgraph_id
-        self.hubs: list[int] = []
         self.collector = -1
         self.center_hub = -1
         self.center = -1
@@ -116,7 +115,6 @@ def build_auxiliary(
             hub = mg.add_vertex()
             lower.append(2)
             upper.append(2)
-            info.hubs = [hub]
             for v in r.vertices:
                 _add_half(mg, info.half_edges, hub, v, pf[v])
         elif r.kind == BICLIQUE:
@@ -124,7 +122,6 @@ def build_auxiliary(
                 hub = mg.add_vertex()
                 lower.append(1)
                 upper.append(1)
-                info.hubs.append(hub)
                 for v in cls:
                     _add_half(mg, info.half_edges, hub, v, pf[v])
         elif r.kind == PARTITE:
@@ -137,7 +134,6 @@ def build_auxiliary(
                 hub = mg.add_vertex()
                 lower.append(1)
                 upper.append(1)
-                info.hubs.append(hub)
                 for v in cls:
                     _add_half(mg, info.half_edges, hub, v, pf[v])
                 info.internal_edges.append(mg.add_edge(hub, collector, 0))
@@ -165,7 +161,6 @@ def build_auxiliary(
                 hub = mg.add_vertex()
                 lower.append(1)
                 upper.append(1)
-                info.hubs.append(hub)
                 for v in cls:
                     _add_half(mg, info.half_edges, hub, v, pf[v])
                 info.internal_edges.append(mg.add_edge(hub, collector, 0))

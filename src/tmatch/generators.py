@@ -144,20 +144,16 @@ def vertex_induced_weights(
     """
     rng = random.Random(seed)
     in_forbidden: set[int] = set()
-    forb_pairs: set[tuple[int, int]] = set()
+    forb_edges: set[int] = set()
     for r in forbidden:
         in_forbidden.update(r.vertices)
-        if r.kind == "dense":
-            continue
-        for (u, v) in r.edge_pairs():
-            forb_pairs.add((u, v))
+        forb_edges.update(r.edge_ids)
     for _ in range(max_tries):
         pot = {v: rng.randint(*potential_range) for v in sorted(in_forbidden)}
         weights = []
         ok = True
-        for (u, v, _) in g.edges:
-            key = (min(u, v), max(u, v))
-            if key in forb_pairs:
+        for eid, (u, v, _) in enumerate(g.edges):
+            if eid in forb_edges:
                 w = pot[u] + pot[v]
             else:
                 w = rng.randint(*noise_range)

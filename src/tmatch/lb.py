@@ -32,11 +32,10 @@ class ExpandedInstance:
     """Size record of the reduction (diagnostics only): the interval
     instance after clamping (star) and the matching instance (hat)."""
 
-    __slots__ = ("star_vertices", "star_edges", "hat_vertices", "hat_edges")
+    __slots__ = ("star_vertices", "hat_vertices", "hat_edges")
 
-    def __init__(self, star_vertices: int, star_edges: int, hat_vertices: int, hat_edges: int):
+    def __init__(self, star_vertices: int, hat_vertices: int, hat_edges: int):
         self.star_vertices = star_vertices
-        self.star_edges = star_edges
         self.hat_vertices = hat_vertices
         self.hat_edges = hat_edges
 
@@ -44,17 +43,10 @@ class ExpandedInstance:
 class LbMatching:
     """A feasible (l,b)-matching; the engine verified its own optimum."""
 
-    __slots__ = ("edge_ids", "degrees", "weight", "expanded")
+    __slots__ = ("edge_ids", "weight", "expanded")
 
-    def __init__(
-        self,
-        edge_ids: list[int],
-        degrees: list[int],
-        weight: int,
-        expanded: ExpandedInstance,
-    ):
+    def __init__(self, edge_ids: list[int], weight: int, expanded: ExpandedInstance):
         self.edge_ids = edge_ids
-        self.degrees = degrees
         self.weight = weight
         self.expanded = expanded
 
@@ -120,7 +112,6 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
 
     expanded = ExpandedInstance(
         star_vertices=mg.n,
-        star_edges=len(kept),
         hat_vertices=n_hat,
         hat_edges=len(hat_edges),
     )
@@ -139,7 +130,6 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
 
     return LbMatching(
         edge_ids=picked,
-        degrees=degrees,
         weight=sum(weights[e] for e in picked),
         expanded=expanded,
     )
@@ -184,7 +174,7 @@ def solve_min_weight_lb(
     cap_used = _tightened_upper(mg, cap.lower, cap.upper, lex)
     res = solve_lb(mg, cap_used, lex)
     true_weight = sum(weights[e] for e in res.edge_ids)
-    return LbMatching(res.edge_ids, res.degrees, true_weight, res.expanded)
+    return LbMatching(res.edge_ids, true_weight, res.expanded)
 
 
 def solve_min_cardinality_lb(mg: MultiGraph, cap: CapacityVector) -> LbMatching:

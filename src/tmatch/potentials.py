@@ -37,11 +37,7 @@ def _wd(g: Graph, u: int, v: int) -> int:
 def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: dict[int, int]) -> bool:
     """True iff pf(u) + pf(v) equals the doubled weight on every edge of h
     (of a dense cluster: on every edge among its vertices)."""
-    if h.kind == DENSE:
-        edges = (g.edges[e] for e in h.edge_ids)
-    else:
-        edges = ((u, v, _wd(g, u, v)) for (u, v) in h.edge_pairs())
-    return all(pf[u] + pf[v] == wd for (u, v, wd) in edges)
+    return all(pf[u] + pf[v] == wd for (u, v, wd) in map(g.edges.__getitem__, h.edge_ids))
 
 
 def _extract_biclique(g: Graph, classes) -> dict[int, int]:

@@ -59,10 +59,6 @@ class CoTMatching:
             raise InternalError(f"tried to remove absent edge ({u},{v})")
         self.ids.remove(eid)
 
-    def has_pair(self, u: int, v: int) -> bool:
-        eid = self.g.edge_id(u, v)
-        return eid is not None and eid in self.ids
-
     def degree(self, v: int) -> int:
         return sum(1 for (_, eid) in self.g.adj[v] if eid in self.ids)
 
@@ -70,7 +66,7 @@ class CoTMatching:
         return sum(self.g.weight_doubled(e) for e in self.ids)
 
     def covers(self, h: ForbiddenSubgraph) -> bool:
-        return any(self.has_pair(u, v) for (u, v) in h.edge_pairs())
+        return not self.ids.isdisjoint(h.edge_ids)
 
     def is_cotmatching(self) -> bool:
         return all(
@@ -271,7 +267,7 @@ def verify_solution(
     for r in records:
         if r.kind == DENSE:
             continue
-        if all(g.edge_id(u, v) in chosen for (u, v) in r.edge_pairs()):
+        if chosen.issuperset(r.edge_ids):
             return False, f"forbidden subgraph {r.id} ({r.kind}) fully included"
     return True, "certificate: degrees within t and every forbidden subgraph cut"
 

@@ -25,6 +25,21 @@ def octahedron(weight: int = 1) -> Graph:
     return Graph(6, edges, 4)
 
 
+def cross_pairs(r):
+    """The vertex pairs of a non-dense record's edge set, derived from its
+    vertices and classes alone: every pair of a clique, and otherwise the
+    pairs joining two classes.  Tests hold detection's edge ids to it."""
+    if not r.classes:
+        return list(itertools.combinations(r.vertices, 2))
+    return [
+        (min(u, v), max(u, v))
+        for (i, ci) in enumerate(r.classes)
+        for cj in r.classes[i + 1:]
+        for u in ci
+        for v in cj
+    ]
+
+
 @pytest.fixture
 def k4():
     return complete_graph(4, 3)

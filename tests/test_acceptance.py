@@ -33,7 +33,7 @@ from tmatch.oracle import brute_force_lb, brute_force_optimum, brute_force_subgr
 from tmatch.pipeline import prepare
 from tmatch.potentials import extract_potential
 
-from .conftest import complete_bipartite, complete_graph, octahedron
+from .conftest import complete_bipartite, complete_graph, cross_pairs, octahedron
 
 SEEDS = 500
 
@@ -266,9 +266,11 @@ def _engine_sweep():
         if feasible:
             res_w = solve_min_weight_lb(mg, cap, weights)
             res_c = solve_min_cardinality_lb(mg, cap)
-            capped = solve_min_cardinality_lb(
-                mg, CapacityVector(list(cap.lower), list(res_w.degrees))
-            )
+            deg = [0] * mg.n
+            for e in res_w.edge_ids:
+                for x in mg.edges[e][:2]:
+                    deg[x] += 1
+            capped = solve_min_cardinality_lb(mg, CapacityVector(list(cap.lower), deg))
             got = (res_w.weight, len(res_w.edge_ids), len(res_c.edge_ids))
             capped_card = len(capped.edge_ids)
         else:
@@ -344,7 +346,7 @@ def test_criterion_7_potential_roundtrip(tmp_path):
             if r.in_dense >= 0:
                 continue
             pf = extract_potential(g, r)
-            for (u, v) in r.edge_pairs():
+            for (u, v) in cross_pairs(r):
                 assert pf[u] + pf[v] == g.weight_doubled(g.edge_id(u, v))
             if r.kind == BICLIQUE:
                 # recovered potentials match the planted ones up to one

@@ -204,7 +204,7 @@ def kpq_text(n, t, p, q, pot, pairs):
     return "\n".join(lines) + "\n"
 
 
-# Two disjoint K^3_3's, both problematic, so gadget ids 0 and 1.
+# Two disjoint K^3_3's, both problematic: records 0 and 1 get gadgets.
 K333_PAIRS = [
     (u, v)
     for b in (0, 9)
@@ -240,16 +240,17 @@ K333_GADGET_LINES = """\
 25 22 0 gadget 1
 """
 # K6 minus the edge (0,1) is one dense cluster with core 2..5 and center 2.
+# Its three K^3_2 members are records 0..2, so the cluster is record 3.
 K6E_PAIRS = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)]
 K6E_POT = [1, 1, 1, 3, 3, 3]
 K6E_GADGET_LINES = """\
-7 2 2 half 0
-7 6 0 gadget 0
-7 2 2 half 0
-7 6 0 gadget 0
-8 0 2 half 0
-8 1 2 half 0
-8 6 0 gadget 0
+7 2 2 half 3
+7 6 0 gadget 3
+7 2 2 half 3
+7 6 0 gadget 3
+8 0 2 half 3
+8 1 2 half 3
+8 6 0 gadget 3
 """
 
 
@@ -265,6 +266,25 @@ def test_dump_aux_gadget_lines(tmp_path, capsys, instance, gadget_lines):
     assert rc == 0
     orig = "".join(f"{u} {v} {2 * (pot[u] + pot[v])} orig -1\n" for (u, v) in pairs)
     assert capsys.readouterr().out == orig + gadget_lines
+
+
+def test_dump_aux_joins_repair_diagnostics(tmp_path, capsys):
+    # Both outputs name a gadget by its record id, so every dense-repair
+    # diagnostic finds its gadget's lines in the dump.
+    path = write(tmp_path, kpq_text(6, 4, 3, 2, K6E_POT, K6E_PAIRS))
+    assert main(["solve", path, "--dump-aux"]) == 0
+    dumped = {}
+    for ln in capsys.readouterr().out.splitlines():
+        (u, v, _, kind, rid) = ln.split()
+        if kind != "orig":
+            dumped.setdefault(int(rid), set()).update({int(u), int(v)})
+    assert main(["solve", path, "--json"]) == 0
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    gadgets = [d["gadget"] for d in diags if "gadget" in d]
+    assert gadgets == [3]
+    assert set(dumped) == {3}
+    # The cluster's center and the vertices of its class outside the core.
+    assert {0, 1, 2} <= dumped[3]
 
 
 def test_deterministic_output(tmp_path, capsys):

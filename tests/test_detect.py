@@ -13,8 +13,8 @@ from tmatch.detect import (
     ForbiddenSubgraph,
     _find_at,
     _kind_for_shape,
+    _cross_edges,
     _Residual,
-    _subgraph_weight,
     classify_problematic,
     find_all_forbidden,
     find_dense,
@@ -32,7 +32,7 @@ from tmatch.oracle import brute_force_subgraphs
 from tmatch.pipeline import forbidden_records
 from tmatch.variant import Variant
 
-from .conftest import complete_graph, octahedron
+from .conftest import complete_graph, cross_pairs, octahedron
 from .test_acceptance import CONFIGS, _instance
 
 
@@ -56,7 +56,7 @@ def find_kpq_at(g, v, p, q):
     out = []
     for (verts, classes) in sorted(set(_find_at(residual(g), v, p, q))):
         h = ForbiddenSubgraph(kind, verts, classes, 0)
-        h.weight = _subgraph_weight(g, h, {})
+        h.edge_ids = _cross_edges(g, h, {})
         out.append(h)
     return out
 
@@ -424,10 +424,10 @@ def test_driver_matches_probing_on_joined_plants():
             assert_driver_matches_probing(g, var)
 
 
-def assert_weights_sum_edge_pairs(g, var):
+def assert_weights_sum_cross_pairs(g, var):
     records, _, _ = find_all_forbidden(g, var)
     for r in records:
-        want = sum(g.weight_doubled(g.edge_id(u, v)) for (u, v) in r.edge_pairs())
+        want = sum(g.weight_doubled(g.edge_id(u, v)) for (u, v) in cross_pairs(r))
         assert r.weight == want, (r.kind, r.vertices, r.classes)
     return records
 
@@ -447,16 +447,63 @@ def test_record_weight_is_the_sum_over_its_edge_pairs():
         for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
             g = joined_plants(120, shape, t, p, q, size, 6, 300 + 10 * seed + i)
             g = reweighted(g, [rng.randint(0, 9) for _ in g.edges])
-            records = assert_weights_sum_edge_pairs(g, var)
+            records = assert_weights_sum_cross_pairs(g, var)
             assert records, shape
             intra += sum(intra_class_edges(g, r) for r in records)
     for cfg_idx, (_, _, var, _) in enumerate(CONFIGS):
         for seed in range(0, 500, 5):
             g = _instance(cfg_idx, seed)
             g = reweighted(g, [rng.randint(0, 9) for _ in g.edges])
-            records = assert_weights_sum_edge_pairs(g, var)
+            records = assert_weights_sum_cross_pairs(g, var)
             intra += sum(intra_class_edges(g, r) for r in records)
     assert intra > 0
+
+
+def fresh_walk(g, verts):
+    """The ids of the edges among ``verts`` in vertex-pair order, and the
+    vertices of degree t+1 whose neighbours all lie in ``verts``."""
+    vset = set(verts)
+    ids = tuple(
+        g.edge_id(u, v) for (u, v) in itertools.combinations(verts, 2) if g.has_edge(u, v)
+    )
+    core = tuple(
+        u for u in verts
+        if g.degree(u) == g.t + 1 and all(x in vset for (x, _) in g.adj[u])
+    )
+    return ids, core
+
+
+def assert_edge_ids_match_reference(g, var):
+    """Every record's edge ids are the ids of its cross pairs, and every
+    dense cluster's edge ids and core are those of a fresh walk.  Returns
+    the number of intra-class edges and of dense clusters seen."""
+    records, _, _ = find_all_forbidden(g, var)
+    intra = 0
+    for r in records:
+        want = sorted(g.edge_id(u, v) for (u, v) in cross_pairs(r))
+        assert sorted(r.edge_ids) == want, (r.kind, r.vertices, r.classes)
+        intra += intra_class_edges(g, r)
+    dense = find_dense(g, records)
+    for r in dense:
+        assert (r.edge_ids, r.core) == fresh_walk(g, r.vertices), r.vertices
+    return intra, len(dense)
+
+
+def test_edge_ids_match_an_independent_derivation():
+    # Detection derives each record's edge ids once, from the edges its
+    # vertex set induces, and a dense cluster's from its members' ids.
+    # The reference derives them from vertices and classes alone.
+    intra = dense = 0
+    for seed in range(2):
+        for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
+            g = joined_plants(200, shape, t, p, q, size, 10, 100 * seed + i)
+            (a, b) = assert_edge_ids_match_reference(g, var)
+            intra, dense = intra + a, dense + b
+    for cfg_idx, (_, _, var, _) in enumerate(CONFIGS):
+        for seed in range(0, 500, 5):
+            (a, b) = assert_edge_ids_match_reference(_instance(cfg_idx, seed), var)
+            intra, dense = intra + a, dense + b
+    assert intra > 0 and dense > 0
 
 
 def test_candidate_missing_a_cross_edge_raises_despite_an_intra_class_edge():
@@ -466,7 +513,7 @@ def test_candidate_missing_a_cross_edge_raises_despite_an_intra_class_edge():
     g = Graph(6, [(u, v, 1) for (u, v) in sorted(edges)], 4)
     h = ForbiddenSubgraph(PARTITE, tuple(range(6)), ((0, 1), (2, 3), (4, 5)), 0)
     with pytest.raises(InternalError, match=r"misses edge \(0,2\)"):
-        _subgraph_weight(g, h, {})
+        _cross_edges(g, h, {})
 
 
 def test_enclosed_base_vertices_are_not_searched(monkeypatch):

@@ -5,7 +5,7 @@ from tmatch.graph import Graph
 from tmatch.pipeline import prepare
 from tmatch.variant import Variant
 
-from .conftest import complete_graph
+from .conftest import complete_graph, cross_pairs
 
 
 def build(g, variant):
@@ -66,7 +66,7 @@ def test_dense_gadget_k6_degenerate_collector():
     aux, records = build(g, Variant.kpq(3, 2))
     info = aux.gadgets[0]
     assert info.kind == DENSE
-    assert info.hubs == []  # whole vertex set is the core
+    assert list(info.half_edges) == [info.center_hub]  # whole vertex set is the core
     col = info.collector
     assert aux.capacities.lower[col] == aux.capacities.upper[col] == 0
     hub = info.center_hub
@@ -83,8 +83,8 @@ def test_partite_gadget_collector_capacity():
     info = aux.gadgets[0]
     col = info.collector
     assert aux.capacities.lower[col] == aux.capacities.upper[col] == 1  # p-2
-    assert len(info.hubs) == 3
-    for hub in info.hubs:
+    assert len(info.half_edges) == 3
+    for hub in info.half_edges:
         assert aux.capacities.lower[hub] == aux.capacities.upper[hub] == 1
 
 
@@ -132,6 +132,6 @@ def test_half_edge_pairs_reproduce_edge_weights():
         for (eid, v) in pairs:
             halves[v] = aux.graph.edges[eid][2]
     rec = [r for r in records if r.id == info.subgraph_id][0]
-    for (u, v) in rec.edge_pairs():
+    for (u, v) in cross_pairs(rec):
         eid = g.edge_id(u, v)
         assert halves[u] + halves[v] == g.weight_doubled(eid)

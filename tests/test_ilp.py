@@ -30,6 +30,7 @@ from tmatch.generators import (
     vertex_induced_weights,
 )
 
+from .conftest import cross_pairs
 from .test_acceptance import CONFIGS
 
 SEEDS = 10
@@ -75,7 +76,7 @@ def test_solve_against_cover_ilp():
             records, _, _ = find_all_forbidden(g0, variant)
             weights = vertex_induced_weights(g0, records, (-1, 6), (0, 7), seed)
             for g in (g0, reweighted(g0, weights)):
-                pair_sets = [r.edge_pairs() for r in records]
+                pair_sets = [cross_pairs(r) for r in records]
                 want = g.total_weight_doubled() - _cover_ilp(g, pair_sets)
                 res = solve(g, variant)
                 where = f"{name} seed {seed} n={g.n} unweighted={g.unweighted}"

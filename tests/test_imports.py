@@ -1,10 +1,11 @@
 """Every name the package and the tests import is used, every function,
-class and method the package defines is used, and importing the package
-loads nothing beyond it.
+class, method and slot the package defines is used, and importing the
+package loads nothing beyond it.
 
 An import left behind by deleted code hides what a module still depends
 on.  ``__future__`` imports and names listed in ``__all__`` count as used.
-A definition that only tests reach is code the solve does not need.
+A definition that only tests reach is code the solve does not need, and
+so is a slot that is written on every solve but never read.
 """
 
 import ast
@@ -54,6 +55,48 @@ def name_references(node: ast.AST) -> Counter:
     return refs
 
 
+def class_slots(node: ast.ClassDef) -> tuple[str, ...]:
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            return tuple(ast.literal_eval(stmt.value))
+    return ()
+
+
+# Methods through which ``x.attr.method(...)`` writes attr, not reads it.
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault"}
+
+
+def attribute_reads(tree: ast.Module, slots: dict[str, tuple[str, ...]]) -> Counter:
+    """How often each attribute is read.  Three loads do not count, as
+    they only write or move the value: ``x.a.append(...)`` and the other
+    mutators, ``x.a[i] = ...``, and ``x.a`` passed straight to the
+    constructor of a class with slot ``a``."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        up = parent.get(node)
+        if isinstance(up, ast.Attribute) and up.attr in MUTATORS:
+            call = parent.get(up)
+            if isinstance(call, ast.Call) and call.func is up:
+                continue
+        if isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Store):
+            continue
+        if isinstance(up, ast.keyword):
+            up = parent.get(up)
+        if (
+            isinstance(up, ast.Call)
+            and isinstance(up.func, ast.Name)
+            and node.attr in slots.get(up.func.id, ())
+        ):
+            continue
+        reads[node.attr] += 1
+    return reads
+
+
 def test_no_dead_definitions():
     # The benchmark harness counts as a caller.  The oracle's functions are
     # reference implementations for the tests, so they are exempt.
@@ -63,6 +106,13 @@ def test_no_dead_definitions():
         for path in package + sorted((ROOT / "perfbench").glob("*.py"))
     }
     used = sum((name_references(tree) for tree in trees.values()), Counter())
+    slots = {
+        node.name: class_slots(node)
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+    }
+    read = sum((attribute_reads(tree, slots) for tree in trees.values()), Counter())
     dead = []
     for path in package:
         if path.name == "oracle.py":
@@ -73,6 +123,11 @@ def test_no_dead_definitions():
                 defs.append(node)
             if isinstance(node, ast.ClassDef):
                 defs += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                dead += [
+                    f"{path.relative_to(ROOT)} line {node.lineno}: {node.name}.{slot}"
+                    for slot in class_slots(node)
+                    if not read[slot]
+                ]
         for node in defs:
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue

@@ -194,7 +194,7 @@ def test_dense_rewire_translation():
     info = aux.gadgets[0]
     assert info.kind == "dense" and info.center == 2
     chosen = [eid for (eid, _) in info.half_edges[info.center_hub]]
-    hub = info.hubs[0]
+    hub = next(h for h in info.half_edges if h != info.center_hub)
     chosen += [e for e in info.internal_edges if hub in aux.graph.edges[e][:2]]
     # Input edges keep their ids in the auxiliary instance.
     chosen += [g.edge_id(u, v) for (u, v) in [(3, 0), (4, 1), (5, 0)]]
@@ -204,7 +204,7 @@ def test_dense_rewire_translation():
             deg[x] += 1
     for v in range(aux.graph.n):
         assert aux.capacities.lower[v] <= deg[v] <= aux.capacities.upper[v]
-    m = LbMatching(sorted(chosen), deg, 0, None)
+    m = LbMatching(sorted(chosen), 0, None)
     diags = []
     cot = matching_to_cotmatching(aux, m, diags)
     assert any(d["rule"] == "dense-rewire" for d in diags)

@@ -34,5 +34,5 @@ def test_traced_bindings_exist():
 
 
 def test_traced_expansion_fields_exist():
-    ex = ExpandedInstance(star_vertices=1, star_edges=2, hat_vertices=3, hat_edges=4)
+    ex = ExpandedInstance(star_vertices=1, hat_vertices=3, hat_edges=4)
     assert (ex.star_vertices, ex.hat_vertices, ex.hat_edges) == (1, 3, 4)
