@@ -150,6 +150,7 @@ def _cmd_solve(args) -> int:
         ex = result.stats
         print(
             f"expanded vertices={ex['expanded_vertices']} "
+            f"engine_calls={ex['engine_calls']} "
             f"aux_edges={ex['aux_matching_edges']} gadgets={ex['gadgets']}",
             file=sys.stderr,
         )

@@ -16,8 +16,12 @@ interval [l, u] is split once:
   externals become required.  Each external not matched along its edge
   takes an internal, so between d - u and d - l edges stay unchosen.
 
-The matching instance has at most 4m - sum(l) vertices.  Cardinality
-objectives ride on the same split with unit weights.
+The split has at most 4m - sum(l) vertices, and MAX_ENGINE_VERTICES
+gates that total before any engine call.  No split edge joins two
+components of the kept edges, so each component that keeps an edge is
+split on its own and solved by its own engine call, with its own dual
+certificate; the picked edges are merged in ascending id order.
+Cardinality objectives ride on the same split with unit weights.
 """
 
 from __future__ import annotations
@@ -30,24 +34,25 @@ from .graph import CapacityVector, MultiGraph
 
 class ExpandedInstance:
     """Size record of the reduction (diagnostics only): the interval
-    instance after clamping (star) and the matching instance (hat)."""
+    instance after clamping (star), the matching instances (hat) summed
+    over its components, and the number of engine calls."""
 
-    __slots__ = ("star_vertices", "hat_vertices", "hat_edges")
+    __slots__ = ("star_vertices", "hat_vertices", "hat_edges", "engine_calls")
 
-    def __init__(self, star_vertices: int, hat_vertices: int, hat_edges: int):
+    def __init__(self, star_vertices: int, hat_vertices: int, hat_edges: int, engine_calls: int):
         self.star_vertices = star_vertices
         self.hat_vertices = hat_vertices
         self.hat_edges = hat_edges
+        self.engine_calls = engine_calls
 
 
 class LbMatching:
     """A feasible (l,b)-matching; the engine verified its own optimum."""
 
-    __slots__ = ("edge_ids", "weight", "expanded")
+    __slots__ = ("edge_ids", "expanded")
 
-    def __init__(self, edge_ids: list[int], weight: int, expanded: ExpandedInstance):
+    def __init__(self, edge_ids: list[int], expanded: ExpandedInstance):
         self.edge_ids = edge_ids
-        self.weight = weight
         self.expanded = expanded
 
 
@@ -59,17 +64,28 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
     InfeasibleError when no (l,b)-matching exists.
     """
     lower = list(cap.lower)
-    upper = [min(cap.upper[v], mg.degree(v)) for v in range(mg.n)]
+    upper = [min(c, d) for (c, d) in zip(cap.upper, mg.deg)]
 
     # Edges at a zero-capacity vertex can never be matched.  Dropping them
     # lowers effective degrees, so upper bounds clamp once more; a vertex
-    # clamped to zero has no edge left, so nothing cascades further.
-    keep = [upper[u] > 0 and upper[v] > 0 for (u, v, _) in mg.edges]
+    # clamped to zero has no edge left, so nothing cascades further.  The
+    # kept edges' components are merged smaller into larger on the way.
+    kept: list[int] = []
     deg_eff = [0] * mg.n
+    comp = list(range(mg.n))
+    members = [[v] for v in range(mg.n)]
     for eid, (u, v, _) in enumerate(mg.edges):
-        if keep[eid]:
+        if upper[u] > 0 and upper[v] > 0:
+            kept.append(eid)
             deg_eff[u] += 1
             deg_eff[v] += 1
+            a, b = comp[u], comp[v]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for x in members[b]:
+                    comp[x] = a
+                members[a] += members[b]
     for v in range(mg.n):
         upper[v] = min(upper[v], deg_eff[v])
         if lower[v] > upper[v]:
@@ -78,8 +94,7 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
                 f"{upper[v]} can be matched"
             )
 
-    # --- split: one external per edge end, internals absorb the slack.
-    kept = [eid for eid in range(mg.m) if keep[eid]]
+    # The gate is on the whole split, before any component is solved.
     split = [lower[v] > 0 or upper[v] < deg_eff[v] for v in range(mg.n)]
     size = 2 * len(kept) + sum(deg_eff[v] - lower[v] for v in range(mg.n) if split[v])
     if size > MAX_ENGINE_VERTICES:
@@ -88,17 +103,27 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
             f"({mg.n} vertices, {len(kept)} edges); "
             f"the matching engine is gated at {MAX_ENGINE_VERTICES}"
         )
+
+    # --- split per component: one external per edge end, internals
+    # absorb the slack.  A part is (kept edge ids, hat edges, required).
+    parts: dict[int, tuple[list[int], list[tuple[int, int, int]], list[bool]]] = {}
     ext_of_vertex: list[list[int]] = [[] for _ in range(mg.n)]
-    hat_edges: list[tuple[int, int, int]] = []
-    for i, eid in enumerate(kept):
+    for eid in kept:
         (u, v, _) = mg.edges[eid]
-        ext_of_vertex[u].append(2 * i)
-        ext_of_vertex[v].append(2 * i + 1)
-        hat_edges.append((2 * i, 2 * i + 1, -weights[eid]))
-    required = [False] * (2 * len(kept))
+        part = parts.get(comp[u])
+        if part is None:
+            part = parts[comp[u]] = ([], [], [])
+        (ids, hat_edges, required) = part
+        x = len(required)
+        ids.append(eid)
+        required += (False, False)
+        ext_of_vertex[u].append(x)
+        ext_of_vertex[v].append(x + 1)
+        hat_edges.append((x, x + 1, -weights[eid]))
     for v in range(mg.n):
         if not split[v]:
             continue
+        (_, hat_edges, required) = parts[comp[v]]
         for x in ext_of_vertex[v]:
             required[x] = True
         # An external left off its edge pairs with an internal: the first
@@ -108,16 +133,21 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
             required.append(j < deg_eff[v] - upper[v])
             for x in ext_of_vertex[v]:
                 hat_edges.append((iv, x, 0))
-    n_hat = len(required)
 
     expanded = ExpandedInstance(
         star_vertices=mg.n,
-        hat_vertices=n_hat,
-        hat_edges=len(hat_edges),
+        hat_vertices=size,
+        hat_edges=sum(len(hat_edges) for (_, hat_edges, _) in parts.values()),
+        engine_calls=len(parts),
     )
 
-    mate, _, _ = maximum_weight_perfect_matching(n_hat, hat_edges, required=required)
-    picked = [eid for i, eid in enumerate(kept) if mate[2 * i] == 2 * i + 1]
+    # Each component is its own matching instance: its own engine call,
+    # stop rule and certificate.  Edge i of a part owns externals 2i, 2i+1.
+    picked: list[int] = []
+    for (ids, hat_edges, required) in parts.values():
+        mate, _, _ = maximum_weight_perfect_matching(len(required), hat_edges, required=required)
+        picked += [eid for i, eid in enumerate(ids) if mate[2 * i] == 2 * i + 1]
+    picked.sort()
 
     degrees = [0] * mg.n
     for eid in picked:
@@ -128,11 +158,7 @@ def solve_lb(mg: MultiGraph, cap: CapacityVector, weights: list[int]) -> LbMatch
         if not (lower[v] <= degrees[v] <= upper[v]):
             raise InternalError(f"capacity violated at vertex {v} after expansion solve")
 
-    return LbMatching(
-        edge_ids=picked,
-        weight=sum(weights[e] for e in picked),
-        expanded=expanded,
-    )
+    return LbMatching(edge_ids=picked, expanded=expanded)
 
 
 def _tightened_upper(
@@ -172,9 +198,7 @@ def solve_min_weight_lb(
     scale = mg.m + 1
     lex = [w * scale + 1 for w in weights]
     cap_used = _tightened_upper(mg, cap.lower, cap.upper, lex)
-    res = solve_lb(mg, cap_used, lex)
-    true_weight = sum(weights[e] for e in res.edge_ids)
-    return LbMatching(res.edge_ids, true_weight, res.expanded)
+    return solve_lb(mg, cap_used, lex)
 
 
 def solve_min_cardinality_lb(mg: MultiGraph, cap: CapacityVector) -> LbMatching:

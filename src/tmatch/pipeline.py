@@ -103,6 +103,7 @@ def solve(g: Graph, variant: Variant) -> SolveResult:
         "aux_matching_edges": len(m.edge_ids),
         "detect_probe_ops": det_stats.probe_ops,
         "expanded_vertices": m.expanded.hat_vertices,
+        "engine_calls": m.expanded.engine_calls,
     }
     stats.update(gadget_stats(aux))
     return _recover.finalize(g, cot, records, diagnostics, stats)

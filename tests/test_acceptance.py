@@ -271,7 +271,7 @@ def _engine_sweep():
                 for x in mg.edges[e][:2]:
                     deg[x] += 1
             capped = solve_min_cardinality_lb(mg, CapacityVector(list(cap.lower), deg))
-            got = (res_w.weight, len(res_w.edge_ids), len(res_c.edge_ids))
+            got = (sum(weights[e] for e in res_w.edge_ids), len(res_w.edge_ids), len(res_c.edge_ids))
             capped_card = len(capped.edge_ids)
         else:
             try:

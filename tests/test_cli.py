@@ -174,7 +174,7 @@ def test_dump_expanded_reports_sizes(tmp_path, capsys):
     assert main(["solve", path, "--dump-expanded"]) == 0
     dumped = capsys.readouterr()
     assert dumped.out == plain.out
-    assert dumped.err == "expanded vertices=10 aux_edges=2 gadgets=1\n"
+    assert dumped.err == "expanded vertices=10 engine_calls=1 aux_edges=2 gadgets=1\n"
 
 
 def test_detect_dense_cluster_line(tmp_path, capsys):
@@ -257,7 +257,7 @@ K6E_GADGET_LINES = """\
 @pytest.mark.parametrize("instance, gadget_lines", [
     ((18, 6, 3, 3, K333_POT, K333_PAIRS), K333_GADGET_LINES),
     ((6, 4, 3, 2, K6E_POT, K6E_PAIRS), K6E_GADGET_LINES),
-])
+], ids=["two-k333", "k6-minus-edge"])
 def test_dump_aux_gadget_lines(tmp_path, capsys, instance, gadget_lines):
     # The input edges come first, in input order with doubled weights; the
     # gadget lines are pinned byte for byte.

@@ -21,25 +21,29 @@ def mg_from(n, triples):
     return mg
 
 
+def weight_of(res, weights):
+    return sum(weights[e] for e in res.edge_ids)
+
+
 def test_star_lower_bound():
     mg = mg_from(4, [(0, 1, 3), (0, 2, 1), (0, 3, 2)])
     cap = CapacityVector([1, 0, 0, 0], [1, 1, 1, 1])
     res = solve_min_weight_lb(mg, cap, [3, 1, 2])
-    assert res.weight == 1 and res.edge_ids == [1]
+    assert weight_of(res, [3, 1, 2]) == 1 and res.edge_ids == [1]
 
 
 def test_four_cycle_exact():
     mg = mg_from(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
     cap = CapacityVector([1] * 4, [1] * 4)
     res = solve_min_weight_lb(mg, cap, [1, 2, 1, 2])
-    assert res.weight == 2 and len(res.edge_ids) == 2
+    assert weight_of(res, [1, 2, 1, 2]) == 2 and len(res.edge_ids) == 2
 
 
 def test_empty_lower_bounds():
     mg = mg_from(3, [(0, 1, 5), (1, 2, 5)])
     cap = CapacityVector([0, 0, 0], [1, 2, 1])
     res = solve_min_weight_lb(mg, cap, [5, 5])
-    assert res.weight == 0 and res.edge_ids == []
+    assert weight_of(res, [5, 5]) == 0 and res.edge_ids == []
 
 
 def test_infeasible_lower_bound():
@@ -100,12 +104,26 @@ def test_randomized_against_bruteforce():
                 solve_min_weight_lb(mg, cap, weights)
             continue
         res = solve_min_weight_lb(mg, cap, weights)
-        assert res.weight == want_w
+        assert weight_of(res, weights) == want_w
         assert len(res.edge_ids) == want_k  # edge-minimal among optima
         card = solve_min_cardinality_lb(mg, cap)
         assert len(card.edge_ids) == want_card
         checked += 1
     assert checked > 100
+
+
+def _role_interval(rng, role, d):
+    """The interval of a vertex of degree d: free [0, d], cover [1, d],
+    an exact hub [1, 1] or [2, 2], or capped (upper 1, or 1 < upper < d)."""
+    if role == "free":
+        return (0, d)
+    if role == "cover":
+        return (1, d)
+    if role == "hub":
+        b = min(rng.choice([1, 2]), d)
+        return (b, b)
+    up = rng.randint(2, d - 1) if d > 2 and rng.random() < 0.5 else min(1, d)
+    return (rng.randint(0, up), up)
 
 
 def test_mixed_intervals_against_bruteforce():
@@ -143,11 +161,12 @@ def test_mixed_intervals_against_bruteforce():
                 solve_min_weight_lb(mg, cap, weights)
             continue
         res = solve_min_weight_lb(mg, cap, weights)
-        assert (res.weight, len(res.edge_ids)) == (want_w, want_k)
+        assert (weight_of(res, weights), len(res.edge_ids)) == (want_w, want_k)
         assert len(solve_min_cardinality_lb(mg, cap).edge_ids) == want_card
         # Maximizing is minimizing the negated weights.
-        best_max, _, _ = brute_force_lb(mg, cap, [-w for w in weights])
-        assert solve_lb(mg, cap, [-w for w in weights]).weight == best_max
+        negated = [-w for w in weights]
+        best_max, _, _ = brute_force_lb(mg, cap, negated)
+        assert weight_of(solve_lb(mg, cap, negated), negated) == best_max
         checked += 1
     assert checked > 80
 
@@ -176,15 +195,7 @@ def test_mixed_intervals_against_bruteforce():
             weights.append(w)
         lower, upper = [], []
         for v in range(n):
-            d = mg.degree(v)
-            if roles[v] == "cover":
-                (lo, up) = (1, d)
-            elif roles[v] == "hub":
-                b = min(rng.choice([1, 2]), d)
-                (lo, up) = (b, b)
-            else:
-                up = rng.randint(2, d - 1) if d > 2 and rng.random() < 0.5 else min(1, d)
-                (lo, up) = (rng.randint(0, up), up)
+            (lo, up) = _role_interval(rng, roles[v], mg.degree(v))
             lower.append(lo)
             upper.append(up)
         cap = CapacityVector(lower, upper)
@@ -195,7 +206,7 @@ def test_mixed_intervals_against_bruteforce():
                 solve_min_weight_lb(mg, cap, weights)
             continue
         res = solve_min_weight_lb(mg, cap, weights)
-        assert (res.weight, len(res.edge_ids)) == (want_w, want_k), (pairs, lower, upper)
+        assert (weight_of(res, weights), len(res.edge_ids)) == (want_w, want_k), (pairs, lower, upper)
         assert len(solve_min_cardinality_lb(mg, cap).edge_ids) == want_card
         checked += 1
     assert checked > 60
@@ -256,3 +267,122 @@ def test_size_gate_fires_before_expansion(monkeypatch):
     mg = mg_from(2, [(0, 1, 1)] * k)
     with pytest.raises(InstanceTooLargeError, match="lb expansion"):
         solve_lb(mg, CapacityVector([k, k], [k, k]), [-1] * k)
+
+    # Two such components, each within the gate alone: the gate is on the
+    # total, before the first component's engine call.
+    k = MAX_ENGINE_VERTICES // 4 + 1
+    assert 2 * k <= MAX_ENGINE_VERTICES < 4 * k
+    mg = mg_from(4, [(0, 1, 1)] * k + [(2, 3, 1)] * k)
+    with pytest.raises(InstanceTooLargeError, match="lb expansion"):
+        solve_lb(mg, CapacityVector([k] * 4, [k] * 4), [-1] * (2 * k))
+
+
+def _connected_part(rng, free_only):
+    """A connected interval instance on local ids: a random tree plus a few
+    parallel or extra edges.  Every upper bound is at least 1, so no edge
+    is dropped and the part stays one component."""
+    n = rng.randint(2, 5)
+    pairs = [(v, rng.randrange(v)) for v in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    deg = [0] * n
+    for (u, v) in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    lower, upper = [], []
+    for v in range(n):
+        role = "free" if free_only else rng.choice(["free", "cover", "hub", "capped"])
+        (lo, up) = _role_interval(rng, role, deg[v])
+        lower.append(lo)
+        upper.append(up)
+    weights = [rng.randint(-10, 20) for _ in pairs]
+    return pairs, weights, lower, upper
+
+
+def _disjoint_union(rng, parts):
+    """The parts side by side, with isolated [0, 0] vertices between them
+    and the edge order shuffled, so a component's edge ids interleave
+    with the others'."""
+    lower, upper, triples = [], [], []
+    for (pairs, weights, lo, up) in parts:
+        for _ in range(rng.randint(0, 1)):
+            lower.append(0)
+            upper.append(0)
+        base = len(lower)
+        triples += [(u + base, v + base, w) for ((u, v), w) in zip(pairs, weights)]
+        lower += lo
+        upper += up
+    rng.shuffle(triples)
+    mg = mg_from(len(lower), triples)
+    return mg, CapacityVector(lower, upper), [w for (_, _, w) in triples]
+
+
+def _part_instance(part):
+    (pairs, weights, lower, upper) = part
+    mg = mg_from(len(lower), [(u, v, w) for ((u, v), w) in zip(pairs, weights)])
+    return mg, CapacityVector(lower, upper), weights
+
+
+def _counting_engine(monkeypatch):
+    calls = []
+    real = tmatch.lb.maximum_weight_perfect_matching
+
+    def engine(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tmatch.lb, "maximum_weight_perfect_matching", engine)
+    return calls
+
+
+def test_disjoint_union_solves_each_component(monkeypatch):
+    # A union's optimum is the sum of its parts' optima, on both
+    # objectives, with one engine call per component that keeps an edge.
+    calls = _counting_engine(monkeypatch)
+    rng = random.Random(2020)
+    checked = 0
+    for trial in range(150):
+        k = rng.randint(2, 4)
+        parts = [_connected_part(rng, free_only=(i == 0 and trial % 3 == 0)) for i in range(k)]
+        mg, cap, weights = _disjoint_union(rng, parts)
+        optima = []
+        for part in parts:
+            try:
+                optima.append(brute_force_lb(*_part_instance(part)))
+            except InfeasibleError:
+                optima = None
+                break
+        if optima is None:
+            with pytest.raises(InfeasibleError):
+                solve_min_weight_lb(mg, cap, weights)
+            continue
+        want_w = sum(w for (w, _, _) in optima)
+        want_k = sum(c for (_, c, _) in optima)
+        want_card = sum(c for (_, _, c) in optima)
+        if mg.n <= 9:
+            assert brute_force_lb(mg, cap, weights) == (want_w, want_k, want_card)
+
+        calls.clear()
+        res = solve_lb(mg, cap, weights)
+        assert weight_of(res, weights) == want_w
+        assert res.edge_ids == sorted(res.edge_ids)
+        assert len(calls) == res.expanded.engine_calls == k
+        assert sum(calls) == res.expanded.hat_vertices
+
+        lex = solve_min_weight_lb(mg, cap, weights)
+        assert (weight_of(lex, weights), len(lex.edge_ids)) == (want_w, want_k)
+        assert len(solve_min_cardinality_lb(mg, cap).edge_ids) == want_card
+        checked += 1
+    assert checked > 60
+
+
+def test_infeasible_component_raises(monkeypatch):
+    # An edge with [1, 1] ends is solved first; the path 2-3-4 with [1, 1]
+    # everywhere passes the per-vertex check, and only its engine call
+    # finds that no matching covers all three.
+    calls = _counting_engine(monkeypatch)
+    mg = mg_from(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1)])
+    cap = CapacityVector([1] * 5, [1] * 5)
+    with pytest.raises(InfeasibleError):
+        solve_lb(mg, cap, [1, 1, 1])
+    assert len(calls) == 2
+
