@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .detect import DENSE
+from .detect import DENSE, find_all_forbidden
 from .errors import (
     InputFormatError,
     InstanceTooLargeError,
@@ -223,10 +223,9 @@ def _cmd_generate(args) -> int:
         )
     weighted = False
     if args.weighted:
-        records, _, _, _ = prepare(g, variant)
-        plain = [r for r in records if r.kind != DENSE]
+        records, _, _ = find_all_forbidden(g, variant)
         w = vertex_induced_weights(
-            g, plain, (args.pot_lo, args.pot_hi), (0, args.noise_hi), args.seed + 2
+            g, records, (args.pot_lo, args.pot_hi), (0, args.noise_hi), args.seed + 2
         )
         g = reweighted(g, w)
         weighted = True

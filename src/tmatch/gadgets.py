@@ -1,16 +1,19 @@
 """Construction of the auxiliary degree-constrained matching instance.
 
 Every problematic forbidden subgraph (and every dense cluster whose
-center potential is non-negative) is augmented with a small gadget built
-from half-edges: new hub vertices adjacent to the subgraph's vertices,
-with exact capacity intervals that force the eventual matching to "cut"
-the subgraph.  A half-edge incident to original vertex v carries v's
-potential as its weight; all other gadget edges weigh zero.
+center potential is non-negative) gets a gadget of one shape, read from
+the subgraph's classes: a hub per class, joined by a half-edge to each
+vertex of the class, and a collector that takes every hub slot but two.
+All their capacity intervals are exact, so the matching picks exactly
+two half-edges and thereby "cuts" the subgraph.  A clique's singleton
+classes share one hub of capacity 2, and a dense cluster's core is one
+doubled hub at its center.  A half-edge incident to original vertex v
+carries v's potential as its weight; all other gadget edges weigh zero.
 """
 
 from __future__ import annotations
 
-from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
+from .detect import CLIQUE, DENSE, ForbiddenSubgraph
 from .errors import InternalError
 from .graph import CapacityVector, Graph, MultiGraph
 
@@ -18,13 +21,13 @@ from .graph import CapacityVector, Graph, MultiGraph
 class GadgetInfo:
     """Bookkeeping for one attached gadget.
 
-    ``collector`` is the degree-(p-2) or (p-k) aggregation vertex of
-    partite/dense gadgets, ``center_hub``/``center`` the doubled
-    attachment of a dense cluster.  ``half_edges`` maps each hub (a
-    clique's one hub, a per-class subdivision vertex, or the center hub)
-    to the list of (edge_id, original_vertex) half-edges it carries, and
-    ``internal_edges`` lists the ids of the weight-0 hub-collector links.
-    Together they name every auxiliary edge of the gadget.
+    ``collector`` is the vertex that takes every hub slot but two (-1
+    when the hubs hold only two), ``center_hub``/``center`` the doubled
+    attachment of a dense cluster.  ``half_edges`` maps each hub to the
+    list of (edge_id, original_vertex) half-edges it carries, and
+    ``internal_edges`` lists the ids of the weight-0 hub-collector links,
+    one per hub slot.  Together they name every auxiliary edge of the
+    gadget.
     """
 
     __slots__ = (
@@ -68,10 +71,6 @@ class AuxiliaryInstance:
         self.records = records
 
 
-def _add_half(mg: MultiGraph, gid_edges, hub: int, v: int, w: int) -> None:
-    gid_edges.setdefault(hub, []).append((mg.add_edge(hub, v, w), v))
-
-
 def build_auxiliary(
     g: Graph,
     records: list[ForbiddenSubgraph],
@@ -111,61 +110,30 @@ def build_auxiliary(
     gadgets: list[GadgetInfo] = []
     for (r, pf) in targets:
         info = GadgetInfo(r.kind, r.id)
+        # Hub groups (capacity, vertices).  A dense cluster's other hubs
+        # are the classes of a member that lie outside its core.
         if r.kind == CLIQUE:
-            hub = mg.add_vertex()
-            lower.append(2)
-            upper.append(2)
-            for v in r.vertices:
-                _add_half(mg, info.half_edges, hub, v, pf[v])
-        elif r.kind == BICLIQUE:
-            for cls in r.classes:
-                hub = mg.add_vertex()
-                lower.append(1)
-                upper.append(1)
-                for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf[v])
-        elif r.kind == PARTITE:
-            p = len(r.classes)
-            collector = mg.add_vertex()
-            lower.append(p - 2)
-            upper.append(p - 2)
-            info.collector = collector
-            for cls in r.classes:
-                hub = mg.add_vertex()
-                lower.append(1)
-                upper.append(1)
-                for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf[v])
-                info.internal_edges.append(mg.add_edge(hub, collector, 0))
+            groups = [(2, r.vertices)]
         elif r.kind == DENSE:
-            # Gadget shape is driven by the classes of any member that are
-            # disjoint from the core; the core itself hangs off one doubled
-            # hub at its minimum-potential vertex.
-            core = set(r.core)
-            outside_classes = _outside_classes(r, records, core)
-            center = min(r.core, key=lambda v: (pf[v], v))
-            info.center = center
-            # Collector degree p - k, with k = |core|/2: one per outside class.
-            collector = mg.add_vertex()
-            lower.append(len(outside_classes))
-            upper.append(len(outside_classes))
-            info.collector = collector
-            center_hub = mg.add_vertex()
-            lower.append(2)
-            upper.append(2)
-            info.center_hub = center_hub
-            for _ in range(2):
-                _add_half(mg, info.half_edges, center_hub, center, pf[center])
-                info.internal_edges.append(mg.add_edge(center_hub, collector, 0))
-            for cls in outside_classes:
-                hub = mg.add_vertex()
-                lower.append(1)
-                upper.append(1)
-                for v in cls:
-                    _add_half(mg, info.half_edges, hub, v, pf[v])
-                info.internal_edges.append(mg.add_edge(hub, collector, 0))
+            info.center = min(r.core, key=lambda v: (pf[v], v))
+            groups = [(2, (info.center, info.center))]
+            groups += [(1, c) for c in _outside_classes(r, records, set(r.core))]
         else:
-            raise InternalError(f"cannot build a gadget for kind {r.kind}")
+            groups = [(1, c) for c in r.classes]
+        slots = sum(cap for (cap, _) in groups) - 2
+        if slots > 0:
+            info.collector = mg.add_vertex()
+            lower.append(slots)
+            upper.append(slots)
+        for (cap, vertices) in groups:
+            hub = mg.add_vertex()
+            lower.append(cap)
+            upper.append(cap)
+            info.half_edges[hub] = [(mg.add_edge(hub, v, pf[v]), v) for v in vertices]
+            if slots > 0:
+                info.internal_edges += [mg.add_edge(hub, info.collector, 0) for _ in range(cap)]
+        if r.kind == DENSE:
+            info.center_hub = next(iter(info.half_edges))
         gadgets.append(info)
 
     cap = CapacityVector(lower, upper)

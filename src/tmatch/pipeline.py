@@ -28,34 +28,30 @@ def validate_instance(g: Graph, variant: Variant) -> None:
 
 
 def prepare(g: Graph, variant: Variant):
-    """Detection, potential extraction and classification for a solve.
+    """Validation, detection, potential extraction and classification
+    for a solve.
 
     Returns (records incl. dense, the ids of the records intersecting
     each record, potentials, stats).
     Raises NotVertexInducedError if the weighted instance fails the
     vertex-induced precondition on any forbidden subgraph.
     """
+    validate_instance(g, variant)
     records, pairs, stats = _detect.find_all_forbidden(g, variant)
-    dense = _detect.find_dense(g, records)
+    all_records = records + _detect.find_dense(g, records)
 
     potentials: dict[int, dict[int, int]] = {}
-    for r in records:
+    for r in all_records:
         # A dense member never gets a gadget, and its cluster's check
-        # below covers every edge among the cluster's vertices.
+        # covers every edge among the cluster's vertices.
         if r.in_dense >= 0:
             continue
-        if g.unweighted:
-            potentials[r.id] = unit_potentials(r)
-        else:
-            potentials[r.id] = extract_potential(g, r)
-    for r in dense:
         if g.unweighted:
             potentials[r.id] = unit_potentials(r)
         else:
             members = [records[i] for i in r.member_ids]
             potentials[r.id] = extract_potential(g, r, members=members)
 
-    all_records = records + dense
     nbrs = _detect.classify_problematic(all_records, pairs)
     return all_records, nbrs, potentials, stats
 
@@ -63,7 +59,6 @@ def prepare(g: Graph, variant: Variant):
 def solve(g: Graph, variant: Variant) -> SolveResult:
     """Maximum weight (or size) t-matching avoiding the variant's
     forbidden subgraphs."""
-    validate_instance(g, variant)
     records, nbrs, potentials, det_stats = prepare(g, variant)
 
     aux = build_auxiliary(g, records, potentials)

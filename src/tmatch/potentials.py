@@ -4,12 +4,14 @@ A weight function is vertex-induced on a subgraph H when each vertex can
 be given a potential so that every edge of H weighs exactly the sum of its
 endpoint potentials.  All arithmetic here is in doubled units: doubled
 edge weights make the (otherwise half-integral) potentials plain integers.
-A subgraph's potentials are a plain ``dict`` from vertex to value.
+Every forbidden subgraph is complete partite, so one extractor reads any
+subgraph's potentials from its classes.  A subgraph's potentials are a
+plain ``dict`` from vertex to value.
 """
 
 from __future__ import annotations
 
-from .detect import BICLIQUE, CLIQUE, DENSE, PARTITE, ForbiddenSubgraph
+from .detect import CLIQUE, DENSE, ForbiddenSubgraph
 from .errors import InternalError, NotVertexInducedError
 from .graph import Graph
 
@@ -40,27 +42,21 @@ def verify_vertex_induced(g: Graph, h: ForbiddenSubgraph, pf: dict[int, int]) ->
     return all(pf[u] + pf[v] == wd for (u, v, wd) in map(g.edges.__getitem__, h.edge_ids))
 
 
-def _extract_biclique(g: Graph, classes) -> dict[int, int]:
-    (c1, c2) = classes
-    a1, b1 = c1[0], c2[0]
-    # The free shift: anchor the first vertex of the first class at half
-    # the weight of its first class-crossing edge.
-    w0 = _wd(g, a1, b1)
-    if w0 % 2:
-        raise InternalError("doubled weights should be even")
-    out = {a1: w0 // 2}
-    for b in c2:
-        out[b] = _wd(g, a1, b) - out[a1]
-    for a in c1[1:]:
-        out[a] = _wd(g, a, b1) - out[b1]
-    return out
-
-
-def _extract_partite(g: Graph, classes) -> dict[int, int]:
-    # With three or more classes, three mutually adjacent representatives
-    # pin the potentials; a clique is the case of singleton classes.
-    a, b, c = classes[0][0], classes[1][0], classes[2][0]
-    ra, _, _ = triangle_potential(_wd(g, a, b), _wd(g, a, c), _wd(g, b, c))
+def _extract(g: Graph, classes) -> dict[int, int]:
+    """Potentials of the complete multipartite subgraph on ``classes``
+    (a clique is the case of singleton classes), read off its edges."""
+    a, b = classes[0][0], classes[1][0]
+    if len(classes) > 2:
+        # Three mutually adjacent class representatives pin the potentials.
+        c = classes[2][0]
+        ra, _, _ = triangle_potential(_wd(g, a, b), _wd(g, a, c), _wd(g, b, c))
+    else:
+        # The free shift of a biclique: anchor the first vertex at half
+        # the weight of its first class-crossing edge.
+        w0 = _wd(g, a, b)
+        if w0 % 2:
+            raise InternalError("doubled weights should be even")
+        ra = w0 // 2
     out = {a: ra}
     for ci in classes[1:]:
         for x in ci:
@@ -78,23 +74,22 @@ def extract_potential(
 ) -> dict[int, int]:
     """Extract the potentials of ``h`` from the edge weights.
 
-    For dense clusters the potentials are read off any absorbed member
-    (pass it via ``members``) and then validated against every induced
-    edge of the cluster.  Raises NotVertexInducedError when the weights do
-    not admit potentials on ``h``.
+    The potentials are read from ``h``'s classes: singletons for a
+    clique, and for a dense cluster the classes of its first absorbed
+    member (pass the members via ``members``).  They are then validated
+    against every edge of ``h`` (of a dense cluster: every edge among its
+    vertices).  Raises NotVertexInducedError when the weights do not
+    admit potentials on ``h``.
     """
     if h.kind == CLIQUE:
-        pf = _extract_partite(g, [(v,) for v in h.vertices])
-    elif h.kind == BICLIQUE:
-        pf = _extract_biclique(g, h.classes)
-    elif h.kind == PARTITE:
-        pf = _extract_partite(g, h.classes)
+        classes = [(v,) for v in h.vertices]
     elif h.kind == DENSE:
         if not members:
             raise InternalError("dense extraction needs a member subgraph")
-        pf = _extract_partite(g, members[0].classes)
+        classes = members[0].classes
     else:
-        raise InternalError(f"unknown subgraph kind {h.kind}")
+        classes = h.classes
+    pf = _extract(g, classes)
     if not verify_vertex_induced(g, h, pf):
         raise NotVertexInducedError(
             f"weights are not vertex-induced on {h.kind} {h.vertices}", h.id

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from tmatch.graph import Graph
+from tmatch.errors import InfeasibleError, InstanceTooLargeError
+from tmatch.graph import CapacityVector, Graph, MultiGraph
 
 
 def complete_graph(n: int, t: int, weight: int = 1) -> Graph:
@@ -48,3 +49,59 @@ def k4():
 @pytest.fixture
 def k33():
     return complete_bipartite(3, 3, 3)
+
+
+def brute_force_lb(
+    mg: MultiGraph, cap: CapacityVector, weights: list[int]
+) -> tuple[int, int, int]:
+    """Exhaustive (l,b)-matching optima on a multigraph.
+
+    Returns (minimum weight, edge count of the lexicographically minimal
+    (weight, count) solution, minimum cardinality over all solutions).
+    Raises InfeasibleError when no feasible subset exists.
+    """
+    if mg.m > 22:
+        raise InstanceTooLargeError("matching enumeration gated at 22 edges")
+    lower, upper = list(cap.lower), list(cap.upper)
+    n, m = mg.n, mg.m
+    incident_after = [[0] * (m + 1) for _ in range(n)]
+    for v in range(n):
+        for i in range(m - 1, -1, -1):
+            incident_after[v][i] = incident_after[v][i + 1] + (1 if v in mg.edges[i][:2] else 0)
+
+    best: tuple[int, int] | None = None
+    best_card: int | None = None
+    deg = [0] * n
+
+    def feasible_tail(i: int) -> bool:
+        # Every vertex must still be able to reach its lower bound.
+        for v in range(n):
+            if deg[v] + incident_after[v][i] < lower[v]:
+                return False
+        return True
+
+    def rec(i: int, w: int, k: int) -> None:
+        nonlocal best, best_card
+        if not feasible_tail(i):
+            return
+        if i == m:
+            if all(lower[v] <= deg[v] <= upper[v] for v in range(n)):
+                cand = (w, k)
+                if best is None or cand < best:
+                    best = cand
+                if best_card is None or k < best_card:
+                    best_card = k
+            return
+        (u, v, _) = mg.edges[i]
+        rec(i + 1, w, k)
+        if deg[u] < upper[u] and deg[v] < upper[v]:
+            deg[u] += 1
+            deg[v] += 1
+            rec(i + 1, w + weights[i], k + 1)
+            deg[u] -= 1
+            deg[v] -= 1
+
+    rec(0, 0, 0)
+    if best is None or best_card is None:
+        raise InfeasibleError("no feasible degree-interval subset exists")
+    return best[0], best[1], best_card

@@ -29,11 +29,17 @@ from tmatch.generators import (
 )
 from tmatch.graph import CapacityVector, MultiGraph
 from tmatch.lb import solve_min_cardinality_lb, solve_min_weight_lb
-from tmatch.oracle import brute_force_lb, brute_force_optimum, brute_force_subgraphs
+from tmatch.oracle import brute_force_optimum, brute_force_subgraphs
 from tmatch.pipeline import prepare
 from tmatch.potentials import extract_potential
 
-from .conftest import complete_bipartite, complete_graph, cross_pairs, octahedron
+from .conftest import (
+    brute_force_lb,
+    complete_bipartite,
+    complete_graph,
+    cross_pairs,
+    octahedron,
+)
 
 SEEDS = 500
 

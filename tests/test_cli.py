@@ -64,6 +64,18 @@ def test_malformed_inputs(tmp_path, capsys):
     assert main(["solve", write(tmp_path, "4 6 3 kpq\na b\n0 1\n")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["solve"], ["detect"], ["solve", "--dump-aux"]], ids=["solve", "detect", "dump-aux"]
+)
+def test_variant_shape_checked_by_every_command(tmp_path, capsys, command):
+    # K4 at t=3 declared K^3_2-free, though (3-1)*2 != 3.
+    path = write(tmp_path, "4 6 3 kpq\n3 2\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert main(command[:1] + [path] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (p-1)*q must equal t: got (3-1)*2 != 3\n"
+
+
 def test_degree_violation_exit_3(tmp_path):
     k6 = "6 15 3 restricted\n" + "\n".join(
         f"{u} {v}" for u in range(6) for v in range(u + 1, 6)
@@ -245,8 +257,8 @@ K6E_PAIRS = [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 
 K6E_POT = [1, 1, 1, 3, 3, 3]
 K6E_GADGET_LINES = """\
 7 2 2 half 3
-7 6 0 gadget 3
 7 2 2 half 3
+7 6 0 gadget 3
 7 6 0 gadget 3
 8 0 2 half 3
 8 1 2 half 3

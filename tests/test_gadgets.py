@@ -1,3 +1,5 @@
+from collections import Counter
+
 from tmatch.detect import DENSE, find_all_forbidden
 from tmatch.gadgets import build_auxiliary, gadget_stats
 from tmatch.generators import plant_forbidden, reweighted
@@ -6,6 +8,7 @@ from tmatch.pipeline import prepare
 from tmatch.variant import Variant
 
 from .conftest import complete_graph, cross_pairs
+from .test_acceptance import CONFIGS, SEEDS, _instance, _weighted_copy
 
 
 def build(g, variant):
@@ -62,19 +65,22 @@ def test_biclique_gadget_shape(k33):
 
 
 def test_dense_gadget_k6_degenerate_collector():
+    # The whole K6 is the core, so its gadget is the center hub alone: its
+    # two slots leave nothing for a collector.
     g = complete_graph(6, 4)
     aux, records = build(g, Variant.kpq(3, 2))
     info = aux.gadgets[0]
     assert info.kind == DENSE
     assert list(info.half_edges) == [info.center_hub]  # whole vertex set is the core
-    col = info.collector
-    assert aux.capacities.lower[col] == aux.capacities.upper[col] == 0
+    assert info.collector == -1 and info.internal_edges == []
     hub = info.center_hub
     assert aux.capacities.lower[hub] == aux.capacities.upper[hub] == 2
-    # two parallel half-edges at the center, two parallel collector links
+    # two parallel half-edges at the center, and no other gadget edge
     center_halves = [e for e in half_edges(aux) if hub in e[:2]]
     assert len(center_halves) == 2
     assert {x for (u, v, _) in center_halves for x in (u, v)} == {hub, info.center}
+    assert gadget_stats(aux)["added_vertices"] == 1
+    assert gadget_stats(aux)["added_edges"] == 2
 
 
 def test_partite_gadget_collector_capacity():
@@ -135,3 +141,39 @@ def test_half_edge_pairs_reproduce_edge_weights():
     for (u, v) in cross_pairs(rec):
         eid = g.edge_id(u, v)
         assert halves[u] + halves[v] == g.weight_doubled(eid)
+
+
+def assert_one_gadget_shape(aux):
+    """Every gadget is hubs with exact intervals plus, when they hold more
+    than two slots, a collector with exact capacity for all but two of
+    them, joined to each hub once per slot."""
+    lower, upper = aux.capacities.lower, aux.capacities.upper
+    for info in aux.gadgets:
+        hubs = list(info.half_edges)
+        assert all(lower[h] == upper[h] for h in hubs)
+        slots = sum(upper[h] for h in hubs)
+        links = Counter(x for e in info.internal_edges for x in aux.graph.edges[e][:2])
+        if info.collector < 0:
+            assert slots == 2 and info.internal_edges == []
+            continue
+        col = info.collector
+        assert lower[col] == upper[col] == slots - 2 > 0
+        assert links[col] == len(info.internal_edges)
+        assert all(links[h] == upper[h] for h in hubs)
+
+
+def test_every_gadget_has_one_shape():
+    # K6 minus an edge is a dense cluster with a class outside its core;
+    # the whole K6 is all core.
+    k6e = [(u, v, 1) for (u, v, _) in complete_graph(6, 4).edges if (u, v) != (0, 1)]
+    cases = [(Graph(6, k6e, 4), Variant.kpq(3, 2)), (complete_graph(6, 4), Variant.kpq(3, 2))]
+    kinds = Counter()
+    for cfg_idx, (_, _, variant, _) in enumerate(CONFIGS):
+        for seed in range(SEEDS):
+            g = _instance(cfg_idx, seed)
+            cases += [(g, variant), (_weighted_copy(g, variant, seed), variant)]
+    for (g, variant) in cases:
+        aux, _ = build(g, variant)
+        assert_one_gadget_shape(aux)
+        kinds.update(info.kind for info in aux.gadgets)
+    assert set(kinds) == {"clique", "biclique", "partite", "dense"}

@@ -98,8 +98,7 @@ def attribute_reads(tree: ast.Module, slots: dict[str, tuple[str, ...]]) -> Coun
 
 
 def test_no_dead_definitions():
-    # The benchmark harness counts as a caller.  The oracle's functions are
-    # reference implementations for the tests, so they are exempt.
+    # The benchmark harness counts as a caller.
     package = sorted((ROOT / "src" / "tmatch").glob("*.py"))
     trees = {
         path: ast.parse(path.read_text(), str(path))
@@ -115,8 +114,6 @@ def test_no_dead_definitions():
     read = sum((attribute_reads(tree, slots) for tree in trees.values()), Counter())
     dead = []
     for path in package:
-        if path.name == "oracle.py":
-            continue
         defs = []
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

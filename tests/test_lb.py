@@ -11,7 +11,8 @@ from tmatch.lb import (
     solve_min_cardinality_lb,
     solve_min_weight_lb,
 )
-from tmatch.oracle import brute_force_lb
+
+from .conftest import brute_force_lb
 
 
 def mg_from(n, triples):

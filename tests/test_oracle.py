@@ -2,10 +2,10 @@ import pytest
 
 from tmatch.errors import InfeasibleError
 from tmatch.graph import CapacityVector, Graph, MultiGraph
-from tmatch.oracle import brute_force_lb, brute_force_optimum, brute_force_subgraphs
+from tmatch.oracle import brute_force_optimum, brute_force_subgraphs
 from tmatch.variant import Variant
 
-from .conftest import complete_bipartite, complete_graph
+from .conftest import brute_force_lb, complete_bipartite, complete_graph
 
 
 def test_optimum_k4():

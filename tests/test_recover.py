@@ -1,8 +1,10 @@
+from tmatch import solve
 from tmatch.detect import classify_problematic, find_all_forbidden
 from tmatch.gadgets import build_auxiliary, gadget_stats
 from tmatch.generators import plant_forbidden, reweighted
 from tmatch.graph import Graph
 from tmatch.lb import greedy_feasible, solve_min_weight_lb
+from tmatch.oracle import brute_force_optimum
 from tmatch.pipeline import prepare
 from tmatch.recover import CoTMatching, cover_unproblematic
 from tmatch.variant import Variant
@@ -231,3 +233,17 @@ def test_biclique_shift_invariance_of_optimum():
         res = solve_min_weight_lb(aux.graph, aux.capacities, aux.graph.weights())
         results.append(sum(aux.graph.edges[e][2] for e in res.edge_ids))
     assert results[0] == results[1] == results[2]
+
+
+def test_solve_repairs_uncovered_clique():
+    # Two 4-cliques share the triangle 0,1,2 and both weigh 27, so neither
+    # is problematic and no gadget covers either: the complement the
+    # engine returns misses clique 1, and solve repairs it with a shift
+    # from its partner, clique 0, at no loss of weight.
+    r = [3, 4, 5, -3, -3]
+    pairs = [(0, 1), (0, 2), (1, 2)] + [(x, v) for v in (3, 4) for x in range(3)]
+    g = Graph(5, [(u, v, r[u] + r[v]) for (u, v) in pairs], 3)
+    res = solve(g, Variant.restricted())
+    assert res.diagnostics == [{"subgraph": 1, "rule": "clique-shift", "partner": 0}]
+    assert res.weight_doubled == 54
+    assert res.weight_doubled == brute_force_optimum(g, Variant.restricted())[0]
