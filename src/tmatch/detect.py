@@ -13,6 +13,11 @@ number of edges for fixed t.  Vertices of residual degree below t are
 peeled from a worklist of the vertices whose degree dropped, never by a
 scan of the whole graph, so all peeling together costs O(n + m).
 
+One local finder, ``_find_at``, lists every subgraph through a vertex v
+for every shape, cliques and bicliques included.  v's cross vertices are
+all of its neighbours or all but one, and their classes are read from the
+non-adjacency components among those neighbours, tested once.
+
 After a hit, the other vertices of the first subgraph found (the base)
 are searched too, so that every subgraph sharing a vertex with it is
 listed before the base is removed.  A base vertex is skipped when all
@@ -153,29 +158,6 @@ class _Residual:
                         work.append(u)
 
 
-def _complement_components(R: _Residual, verts: list[int]) -> list[list[int]]:
-    """Connected components of the non-adjacency graph on ``verts``."""
-    comp_id = {v: -1 for v in verts}
-    comps: list[list[int]] = []
-    for s in verts:
-        if comp_id[s] >= 0:
-            continue
-        cid = len(comps)
-        comp = [s]
-        comp_id[s] = cid
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            nb = set(R.neighbors(x))
-            for y in verts:
-                if comp_id[y] < 0 and y != x and y not in nb:
-                    comp_id[y] = cid
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _canon_classes(classes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
@@ -218,69 +200,6 @@ def _cross_edges(g: Graph, h: ForbiddenSubgraph, walks: dict) -> tuple[int, ...]
     return tuple(ids)
 
 
-# ---------------------------------------------------------------------------
-# Local finders.  Each returns every forbidden subgraph of the residual
-# graph containing a given vertex, as (vertices, classes) pairs.
-# ---------------------------------------------------------------------------
-
-
-def _cliques_at_edge(R: _Residual, t: int, v: int, u: int) -> list[tuple]:
-    gamma = R.common(v, u)
-    out = []
-    if len(gamma) == t - 1:
-        cand = sorted([v, u] + gamma)
-        if all(R.adjacent(a, b) for (a, b) in itertools.combinations(cand, 2)):
-            out.append((tuple(cand), ()))
-    elif len(gamma) == t:
-        pool = sorted([v, u] + gamma)
-        missing = [
-            (a, b) for (a, b) in itertools.combinations(pool, 2) if not R.adjacent(a, b)
-        ]
-        if not missing:
-            # A clique on t+2 vertices: every t+1-subset through the edge counts.
-            for x in pool:
-                if x != v and x != u:
-                    out.append((tuple(w for w in pool if w != x), ()))
-        else:
-            # All non-edges must form a star; its centers are the only
-            # vertices whose removal leaves a clique.
-            centers = set(missing[0])
-            for (a, b) in missing[1:]:
-                centers &= {a, b}
-            for x in sorted(centers):
-                if x != v and x != u:
-                    out.append((tuple(w for w in pool if w != x), ()))
-    return out
-
-
-def _partite_q3_at_edge(R: _Residual, p: int, q: int, v0: int, v1: int) -> list[tuple]:
-    """All K^p_q's (q >= 3) of the residual graph containing edge (v0, v1)."""
-    n0 = [x for x in R.neighbors(v0) if x != v1]
-    n1 = [x for x in R.neighbors(v1) if x != v0]
-    gamma = set(n0) & set(n1)
-    lo, hi = (p - 2) * q, (p - 2) * q + 2
-    if not (lo <= len(gamma) <= hi):
-        return []
-    pool = sorted({v0, v1} | set(n0) | set(n1))
-    excl = len(pool) - p * q
-    if excl < 0 or excl > 2:
-        return []
-    out = []
-    candidates = [x for x in pool if x != v0 and x != v1]
-    for drop in itertools.combinations(candidates, excl):
-        verts = [x for x in pool if x not in drop]
-        # For q >= 3 the color classes are forced: they are the connected
-        # components of the non-adjacency graph on the vertex set.
-        comps = _complement_components(R, verts)
-        if len(comps) != p or any(len(c) != q for c in comps):
-            continue
-        cid = {x: i for i, c in enumerate(comps) for x in c}
-        if cid[v0] == cid[v1]:
-            continue  # (v0, v1) must be a cross edge here
-        out.append((tuple(verts), _canon_classes(comps)))
-    return out
-
-
 def _pairings(items: list[int]):
     """All partitions of ``items`` into unordered pairs."""
     if not items:
@@ -293,59 +212,6 @@ def _pairings(items: list[int]):
             yield [(a, items[i])] + sub
 
 
-def _partite_q2_at_vertex(R: _Residual, p: int, v: int) -> list[tuple]:
-    """All K^p_2's of the residual graph containing v (p >= 3).
-
-    Strategy: the 2(p-1) cross vertices of any such subgraph are neighbors
-    of v, so enumerate candidate cross sets T inside N(v), check that the
-    non-adjacency pattern on T is a matching, then extend by a class
-    partner for v (a common neighbor of all of T, adjacent to v or not).
-    The adjacencies among N(v) are tested once and each neighbor's list is
-    read once; every candidate T is derived from those.
-    """
-    t = 2 * (p - 1)
-    nbrs = R.neighbors(v)
-    if len(nbrs) < t:
-        return []
-    non_adj: dict[int, list[int]] = {x: [] for x in nbrs}
-    for (a, b) in itertools.combinations(nbrs, 2):
-        if not R.adjacent(a, b):
-            non_adj[a].append(b)
-            non_adj[b].append(a)
-    # Degree t: T is all of N(v).  Degree t+1: T drops one neighbor, and
-    # every vertex left with two or more non-neighbors in T rules it out.
-    heavy = [x for x in nbrs if len(non_adj[x]) > 1]
-    options = [
-        drop for drop in ([None] if len(nbrs) == t else nbrs)
-        if all(x == drop or (len(non_adj[x]) == 2 and drop in non_adj[x]) for x in heavy)
-    ]
-    if not options:
-        return []
-    # Class partner of v: adjacent to every vertex of T, distinct from v.
-    nb = {x: R.neighbors(x) for x in nbrs}
-    counts: dict[int, int] = {}
-    for x in nbrs:
-        for y in nb[x]:
-            counts[y] = counts.get(y, 0) + 1
-    out = []
-    for drop in options:
-        T = [x for x in nbrs if x != drop]
-        dropped = set(nb[drop]) if drop is not None else set()
-        forced = [(a, b) for a in T for b in non_adj[a] if a < b and b != drop]
-        free = sorted(x for x in T if all(y == drop for y in non_adj[x]))
-        in_t = set(T)
-        partners = sorted(
-            y for (y, c) in counts.items()
-            if c - (y in dropped) == t and y != v and y not in in_t
-        )
-        for v2 in partners:
-            for pairing in _pairings(free):
-                classes = [[v, v2]] + [list(e) for e in forced] + [list(e) for e in pairing]
-                verts = tuple(sorted([v, v2] + T))
-                out.append((verts, _canon_classes(classes)))
-    return out
-
-
 def _kind_for_shape(p: int, q: int) -> str:
     if q == 1:
         return CLIQUE
@@ -355,23 +221,79 @@ def _kind_for_shape(p: int, q: int) -> str:
 
 
 def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
-    """Every K^p_q of the residual graph containing the alive vertex v.
+    """Every K^p_q of the residual graph containing the alive vertex v, as
+    (vertices, classes) pairs; a clique's classes are ().
 
-    Degrees are at most t+1, so such a subgraph contains one of any two
-    neighbours of v; cliques and q >= 3 are searched through the edges to
-    the first two.
+    Let t = (p-1)q and H be such a subgraph.  v has t cross vertices in H,
+    all neighbours of v, and at most t+1 neighbours, so the cross vertices
+    are all of N(v), or all of N(v) but one dropped neighbour (a
+    class-mate of v in H, or outside H).  Call them T.  Two vertices of T
+    that are not adjacent share a class, so every component of the
+    non-adjacency graph on T lies inside one class of H.  The adjacencies
+    among N(v) are tested once, and the components for every drop are
+    read from those tests:
+
+    * q = 1: the classes are single vertices, so the components must be;
+    * q >= 3: a vertex has t cross edges in H and at most one more, so a
+      class keeps at most a matching of inner edges, and its
+      non-adjacency graph stays connected.  The components are the
+      classes and must have exactly q vertices each;
+    * q = 2: a class is a non-adjacent pair or two single-vertex
+      components, so the components must have at most 2 vertices.  The
+      pairs are forced classes, and the single vertices, adjacent to all
+      of T, are paired in every way.
+
+    Conversely, every such split of T joins any two of its classes
+    completely.  v's q-1 class-mates are any vertices other than v
+    adjacent to all of T (so outside T; a dropped neighbour may be one),
+    so when some T qualifies and q > 1, each neighbour's list is read
+    once and its vertices are counted.  Drops are tried in adjacency order.
     """
-    if q == 2:
-        return _partite_q2_at_vertex(R, p, v)
+    t = (p - 1) * q
     nbrs = R.neighbors(v)
-    if len(nbrs) < (p - 1) * q:
+    if len(nbrs) < t:
         return []
+    non_adj: dict[int, list[int]] = {x: [] for x in nbrs}
+    for (a, b) in itertools.combinations(nbrs, 2):
+        if not R.adjacent(a, b):
+            non_adj[a].append(b)
+            non_adj[b].append(a)
+    options = []
+    for drop in ([None] if len(nbrs) == t else nbrs):
+        T = [x for x in nbrs if x != drop]
+        comps = []
+        seen = {drop}
+        for s in T:
+            if s not in seen:
+                seen.add(s)
+                comp = [s]
+                for x in comp:
+                    for y in non_adj[x]:
+                        if y not in seen:
+                            seen.add(y)
+                            comp.append(y)
+                comps.append(comp)
+        if all(len(c) == q if q >= 3 else len(c) <= q for c in comps):
+            options.append((drop, T, comps))
+    if not options or q == 1:  # a clique has no class-mates to find
+        return [(tuple(sorted([v] + T)), ()) for (_, T, _) in options]
+    nb = {x: R.neighbors(x) for x in nbrs}
+    counts: dict[int, int] = {}
+    for x in nbrs:
+        for y in nb[x]:
+            counts[y] = counts.get(y, 0) + 1
     out = []
-    for u in nbrs[:2]:
-        if q == 1:
-            out.extend(_cliques_at_edge(R, p - 1, v, u))
-        else:
-            out.extend(_partite_q3_at_edge(R, p, q, v, u))
+    for (drop, T, comps) in options:
+        dropped = set(nb[drop]) if drop is not None else set()
+        mates = sorted(
+            y for (y, c) in counts.items() if c - (y in dropped) == t and y != v
+        )
+        forced = [c for c in comps if len(c) == q]
+        free = sorted(c[0] for c in comps if len(c) < q)
+        for mate in itertools.combinations(mates, q - 1):
+            for pairing in _pairings(free):
+                classes = [[v, *mate], *forced, *pairing]
+                out.append((tuple(sorted([v, *mate, *T])), _canon_classes(classes)))
     return out
 
 

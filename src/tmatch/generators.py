@@ -140,8 +140,12 @@ def vertex_induced_weights(
     ``potential_range``; edges inside forbidden subgraphs weigh the sum of
     endpoint potentials (consistent across overlaps by construction), all
     other edges draw independently from ``noise_range``.  Re-draws until
-    every weight is non-negative.
+    every weight is non-negative.  A range whose low end exceeds its high
+    end is rejected.
     """
+    for (name, (lo, hi)) in (("potential", potential_range), ("noise", noise_range)):
+        if lo > hi:
+            raise InputFormatError(f"empty {name} range [{lo}, {hi}]")
     rng = random.Random(seed)
     in_forbidden: set[int] = set()
     forb_edges: set[int] = set()

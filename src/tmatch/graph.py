@@ -122,9 +122,6 @@ class MultiGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.deg[v]
-
     def weights(self) -> list[int]:
         return [w for (_, _, w) in self.edges]
 

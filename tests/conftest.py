@@ -1,9 +1,26 @@
 import itertools
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tmatch.errors import InfeasibleError, InstanceTooLargeError
 from tmatch.graph import CapacityVector, Graph, MultiGraph
+
+# Every property test draws the same examples on every run, keeps no
+# example database, and has no per-example deadline, which a loaded
+# machine would trip.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=1000
+)
+settings.load_profile("deterministic")
+
+# Even without a database, Hypothesis caches the constants it reads from
+# local source files when tests are collected; keep that cache in a
+# temporary directory, removed at exit.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def complete_graph(n: int, t: int, weight: int = 1) -> Graph:

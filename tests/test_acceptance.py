@@ -246,7 +246,7 @@ def _random_lb_instance(rng: random.Random):
     lower = [0] * n
     upper = [0] * n
     for v in range(n):
-        upper[v] = min(mg.degree(v), rng.randint(0, 4))
+        upper[v] = min(mg.deg[v], rng.randint(0, 4))
         lower[v] = max(0, upper[v] - rng.randint(0, 3))
     return mg, CapacityVector(lower, upper), weights
 

@@ -163,6 +163,16 @@ def test_generate_kpq_dense_roundtrip(tmp_path, capsys):
     assert "needs --p and --q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--noise-hi", "-1"], "empty noise range [0, -1]"),
+    (["--plant", "clique", "--pot-lo", "5", "--pot-hi", "0"], "empty potential range [5, 0]"),
+])
+def test_generate_weighted_rejects_an_empty_range(capsys, flags, message):
+    argv = ["generate", "--n", "12", "-t", "3", "--seed", "1", "--weighted"]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_solve_unweighted_flag_ignores_weights(tmp_path, capsys):
     rc = main([
         "generate", "--n", "8", "-t", "3", "--seed", "4", "--plant", "biclique",

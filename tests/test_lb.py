@@ -84,7 +84,7 @@ def _random_instance(rng):
     lower = [0] * n
     upper = [0] * n
     for v in range(n):
-        d = mg.degree(v)
+        d = mg.deg[v]
         upper[v] = min(d, rng.randint(0, 4))
         lower[v] = max(0, upper[v] - rng.randint(0, 3))
     return mg, CapacityVector(lower, upper), weights
@@ -142,7 +142,7 @@ def test_mixed_intervals_against_bruteforce():
             weights.append(w)
         lower, upper = [], []
         for v in range(n):
-            d = mg.degree(v)
+            d = mg.deg[v]
             kind = rng.choice(["free", "cover", "exact"])
             if kind == "free":
                 lower.append(0)
@@ -196,7 +196,7 @@ def test_mixed_intervals_against_bruteforce():
             weights.append(w)
         lower, upper = [], []
         for v in range(n):
-            (lo, up) = _role_interval(rng, roles[v], mg.degree(v))
+            (lo, up) = _role_interval(rng, roles[v], mg.deg[v])
             lower.append(lo)
             upper.append(up)
         cap = CapacityVector(lower, upper)
