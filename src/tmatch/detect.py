@@ -29,6 +29,11 @@ adjacency walk per distinct vertex set: the records on one set (the
 K^p_2's of a dense cluster) share its induced edges, and each keeps those
 that join two of its classes.  Every later layer reads those ids.
 
+Detection reads the graph's plain neighbour lists ``Graph.nbrs`` (ids
+only, at most t+1 per vertex, in ``adj`` order); edge ids come from
+``adj`` only where a record's edges are listed.  An adjacency test scans
+one such list.
+
 ``DetectionStats.probe_ops`` meters the work so tests can assert the
 linear scaling: every adjacency list read, every adjacency test, and every
 vertex the peeling pops from its worklist or deletes (with its list).
@@ -104,6 +109,8 @@ class DetectionStats:
 class _Residual:
     """Graph view with vertex deletion, degree tracking and a work meter.
 
+    Reads the graph's plain neighbour lists ``g.nbrs``, which keep dead
+    vertices: a reader filters them with ``alive`` where that matters.
     ``dirty`` holds every vertex whose residual degree may have dropped
     below the stripping threshold since the last strip (initially all of
     them), so a strip drains it instead of scanning the whole graph.  This
@@ -111,51 +118,54 @@ class _Residual:
     """
 
     def __init__(self, g: Graph, stats: DetectionStats):
-        self.g = g
+        self.nbrs = g.nbrs
         self.alive = [True] * g.n
-        self.deg = [g.degree(v) for v in range(g.n)]
+        self.deg = [len(nv) for nv in g.nbrs]
         self.dirty = list(range(g.n))
         self.stats = stats
 
     def neighbors(self, v: int) -> list[int]:
-        self.stats.probe_ops += len(self.g.adj[v])
-        return [u for (u, _) in self.g.adj[v] if self.alive[u]]
+        nv = self.nbrs[v]
+        self.stats.probe_ops += len(nv)
+        alive = self.alive
+        return [u for u in nv if alive[u]]
 
     def common(self, u: int, v: int) -> list[int]:
         mark = set(self.neighbors(u))
         return [x for x in self.neighbors(v) if x in mark]
 
-    def adjacent(self, u: int, v: int) -> bool:
-        self.stats.probe_ops += 1
-        return self.g.has_edge(u, v)
-
     def remove(self, v: int) -> None:
-        if not self.alive[v]:
+        alive = self.alive
+        if not alive[v]:
             return
-        self.alive[v] = False
-        for (u, _) in self.g.adj[v]:
-            if self.alive[u]:
-                self.deg[u] -= 1
-                self.dirty.append(u)
+        alive[v] = False
+        (deg, dirty) = (self.deg, self.dirty)
+        for u in self.nbrs[v]:
+            if alive[u]:
+                deg[u] -= 1
+                dirty.append(u)
 
     def strip_low_degree(self, t: int) -> None:
         """Iteratively delete vertices of degree below t; they are in no
         t-regular forbidden subgraph.  What survives is the t-core of the
         residual graph, which is unique, so the order of deletion does not
         matter (Batagelj and Zaversnik's worklist peeling)."""
-        work = self.dirty
+        (work, alive, deg, nbrs) = (self.dirty, self.alive, self.deg, self.nbrs)
+        ops = 0
         while work:
             v = work.pop()
-            self.stats.probe_ops += 1
-            if not self.alive[v] or self.deg[v] >= t:
+            ops += 1
+            if not alive[v] or deg[v] >= t:
                 continue
-            self.alive[v] = False
-            self.stats.probe_ops += len(self.g.adj[v])
-            for (u, _) in self.g.adj[v]:
-                if self.alive[u]:
-                    self.deg[u] -= 1
-                    if self.deg[u] < t:
+            alive[v] = False
+            nv = nbrs[v]
+            ops += len(nv)
+            for u in nv:
+                if alive[u]:
+                    d = deg[u] = deg[u] - 1
+                    if d < t:
                         work.append(u)
+        self.stats.probe_ops += ops
 
 
 def _canon_classes(classes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -166,29 +176,35 @@ def _cross_edges(g: Graph, h: ForbiddenSubgraph, walks: dict) -> tuple[int, ...]
     """Ids of h's edges: the edges among its vertices that join two of its
     classes (of a clique: all of them).
 
-    ``walks`` maps a vertex set to the ids of the edges it induces, filled
-    on first use, so records sharing a vertex set (the members of a dense
-    cluster) walk it once.  Forbidden subgraphs need not be induced, so
-    the edges inside h's classes are dropped, and what remains must be
-    exactly h's cross pairs.
+    ``walks`` maps a vertex set to its induced edges, ``{(u, x): id}``
+    with u < x in walk order, filled on first use, so records sharing a
+    vertex set (the members of a dense cluster) walk it once.  Forbidden
+    subgraphs need not be induced, so the edges inside h's classes are
+    dropped, and what remains must be exactly h's cross pairs.
     """
-    ids = walks.get(h.vertices)
-    if ids is None:
+    induced = walks.get(h.vertices)
+    if induced is None:
         vset = set(h.vertices)
-        ids = walks[h.vertices] = [
-            e for u in h.vertices for (x, e) in g.adj[u] if x > u and x in vset
-        ]
+        adj = g.adj
+        induced = walks[h.vertices] = {
+            (u, x): e for u in h.vertices for (x, e) in adj[u] if x > u and x in vset
+        }
     k = len(h.vertices)
     cross = k * (k - 1) // 2
+    kept = induced
     if h.classes:
-        intra = set()
+        # A class is a sorted tuple, so its pairs are keyed as in the walk.
+        kept = dict(induced)
         for c in h.classes:
             cross -= len(c) * (len(c) - 1) // 2
-            for (u, v) in itertools.combinations(c, 2):
-                intra.add(g.edge_id(u, v))
-        ids = [e for e in ids if e not in intra]
+            for pair in itertools.combinations(c, 2):
+                kept.pop(pair, None)
+    ids = list(kept.values())
     if len(ids) != cross:
-        side = {x: i for i, c in enumerate(h.classes) for x in c} or {x: x for x in h.vertices}
+        # A vertex in no class (a finder fault) stands alone, so some
+        # pair outside every class always names the missing edge.
+        side = {x: x for x in h.vertices}
+        side.update((x, c[0]) for c in h.classes for x in c)
         (u, v) = next(
             (u, v) for (u, v) in itertools.combinations(h.vertices, 2)
             if side[u] != side[v] and not g.has_edge(u, v)
@@ -251,15 +267,22 @@ def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
     """
     t = (p - 1) * q
     nbrs = R.neighbors(v)
-    if len(nbrs) < t:
+    k = len(nbrs)
+    if k < t:
         return []
+    # One probe per pair; a list holds at most t+1 ids.
+    R.stats.probe_ops += k * (k - 1) // 2
+    gn = R.nbrs
     non_adj: dict[int, list[int]] = {x: [] for x in nbrs}
-    for (a, b) in itertools.combinations(nbrs, 2):
-        if not R.adjacent(a, b):
-            non_adj[a].append(b)
-            non_adj[b].append(a)
+    for i in range(k - 1):
+        a = nbrs[i]
+        na = gn[a]
+        for b in nbrs[i + 1:]:
+            if b not in na:
+                non_adj[a].append(b)
+                non_adj[b].append(a)
     options = []
-    for drop in ([None] if len(nbrs) == t else nbrs):
+    for drop in ([None] if k == t else nbrs):
         T = [x for x in nbrs if x != drop]
         comps = []
         seen = {drop}
@@ -277,14 +300,20 @@ def _find_at(R: _Residual, v: int, p: int, q: int) -> list[tuple]:
             options.append((drop, T, comps))
     if not options or q == 1:  # a clique has no class-mates to find
         return [(tuple(sorted([v] + T)), ()) for (_, T, _) in options]
-    nb = {x: R.neighbors(x) for x in nbrs}
+    alive = R.alive
     counts: dict[int, int] = {}
+    ops = 0
     for x in nbrs:
-        for y in nb[x]:
-            counts[y] = counts.get(y, 0) + 1
+        nx = gn[x]
+        ops += len(nx)
+        for y in nx:
+            if alive[y]:
+                counts[y] = counts.get(y, 0) + 1
+    R.stats.probe_ops += ops
     out = []
     for (drop, T, comps) in options:
-        dropped = set(nb[drop]) if drop is not None else set()
+        # counts holds alive vertices only, so drop's raw list will do.
+        dropped = set(gn[drop]) if drop is not None else set()
         mates = sorted(
             y for (y, c) in counts.items() if c - (y in dropped) == t and y != v
         )
@@ -305,12 +334,18 @@ def find_partner(R: _Residual, v: int, p: int, q: int):
     """
     need = max(p - 2, 1) * q
     nbrs = R.neighbors(v)
-    mark = set(nbrs)
+    mark = set(nbrs)  # alive vertices only, so z's raw list will do
+    (gn, alive, ops) = (R.nbrs, R.alive, 0)
     for u in nbrs[:2]:
-        cands = [z for z in R.neighbors(u) if z != v]
-        for z in cands[:2]:
-            if len(mark.intersection(R.neighbors(z))) >= need:
+        nu = gn[u]
+        ops += len(nu)
+        for z in [z for z in nu if z != v and alive[z]][:2]:
+            nz = gn[z]
+            ops += len(nz)
+            if len(mark.intersection(nz)) >= need:
+                R.stats.probe_ops += ops
                 return z
+    R.stats.probe_ops += ops
     return None
 
 
@@ -327,7 +362,9 @@ def _enclosed(R: _Residual, verts: tuple[int, ...]) -> set[int]:
     Then w is not enclosed, so w is searched, and w's search lists H.
     """
     vset = set(verts)
-    return {x for x in verts if vset.issuperset(R.neighbors(x))}
+    (gn, alive) = (R.nbrs, R.alive)
+    R.stats.probe_ops += sum([len(gn[x]) for x in verts])
+    return {x for x in verts if vset.issuperset([u for u in gn[x] if alive[u]])}
 
 
 def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
@@ -336,12 +373,13 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
     t = (p - 1) * q
     R = _Residual(g, stats)
     R.strip_low_degree(t)
+    alive = R.alive
     found: dict[tuple, None] = {}  # an insertion-ordered set
-    queue = [v for v in range(g.n) if R.alive[v]]
+    queue = [v for v in range(g.n) if alive[v]]
     qi = 0
     while qi < len(queue):
         v1 = queue[qi]
-        if not R.alive[v1]:
+        if not alive[v1]:
             qi += 1
             continue
         partner = find_partner(R, v1, p, q)
@@ -384,7 +422,7 @@ def _run_shape(g: Graph, p: int, q: int, stats: DetectionStats) -> list[tuple]:
         # Survivors of the emitted cluster may host further subgraphs;
         # re-queue them (and the probe pair) for another look.
         repush = {v1, v2}.union(*(rec[0] for rec in cluster))
-        queue.extend(x for x in sorted(repush) if R.alive[x])
+        queue.extend([x for x in sorted(repush) if alive[x]])
     return list(found)
 
 
@@ -402,7 +440,7 @@ def find_all_forbidden(
     """
     stats = DetectionStats()
     records: list[ForbiddenSubgraph] = []
-    walks: dict[tuple[int, ...], list[int]] = {}
+    walks: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     edges = g.edges
     # _run_shape emits each record once, and every shape of a variant has
     # its own kind, so records of different shapes never coincide.
@@ -410,8 +448,8 @@ def find_all_forbidden(
         kind = _kind_for_shape(p, q)
         for (verts, classes) in _run_shape(g, p, q, stats):
             h = ForbiddenSubgraph(kind, verts, classes, 0, id=len(records))
-            h.edge_ids = _cross_edges(g, h, walks)
-            h.weight = sum([edges[e][2] for e in h.edge_ids])
+            ids = h.edge_ids = _cross_edges(g, h, walks)
+            h.weight = sum([edges[e][2] for e in ids])
             records.append(h)
 
     # Two records intersect exactly when some vertex lies on both.

@@ -14,13 +14,31 @@ from .errors import InputFormatError
 from .graph import Graph
 
 
+# Up to this many vertices, random_bounded lists every vertex pair; past
+# it, that list alone would take gigabytes.
+EXHAUSTIVE_MAX_N = 4000
+
+
 def random_bounded(n: int, t: int, edge_prob: float, seed: int) -> Graph:
     """Random simple graph on n vertices with all degrees at most t+1.
 
-    Candidate pairs are visited in a seed-shuffled order and added with
-    probability ``edge_prob`` while both endpoints have room.
+    Up to ``EXHAUSTIVE_MAX_N`` vertices, candidate pairs are visited in a
+    seed-shuffled order and added with probability ``edge_prob`` while
+    both endpoints have room.  Larger graphs come from a sampler with its
+    own stream, of O(n t) time and memory: each vertex gets t+1 slots,
+    the slots are shuffled and paired in order, and the first
+    ``edge_prob`` times n(n-1)/2 pairs, as far as the slots last, become
+    edges, less loops and repeats.  A vertex is in at most t+1 pairs, so
+    the degree cap holds.
     """
     rng = random.Random(seed)
+    if n > EXHAUSTIVE_MAX_N:
+        slots = [v for v in range(n) for _ in range(t + 1)]
+        rng.shuffle(slots)
+        draws = min(round(edge_prob * (n * (n - 1) // 2)), len(slots) // 2)
+        pairs = (sorted(slots[2 * i:2 * i + 2]) for i in range(draws))
+        edges = dict.fromkeys((u, v, 1) for (u, v) in pairs if u != v)
+        return Graph(n, list(edges), t)
     pairs = list(itertools.combinations(range(n), 2))
     rng.shuffle(pairs)
     deg = [0] * n
@@ -49,8 +67,10 @@ def plant_forbidden(
     (two overlapping copies sharing the structure-specific vertex set),
     and ``dense`` (a partite block whose classes all induce edges, i.e. a
     complete graph on 2p vertices).  New vertices are appended; existing
-    edges are untouched.
+    edges are untouched.  A negative ``count`` is rejected.
     """
+    if count < 0:
+        raise InputFormatError(f"plant count {count} is negative")
     t = g.t
     # g.edges store doubled weights; copy back in input units.
     edges = [(u, v, w // 2) for (u, v, w) in g.edges]

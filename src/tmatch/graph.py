@@ -3,7 +3,10 @@
 Two containers live here: :class:`Graph` for the simple input graph of a
 t-matching instance, and :class:`MultiGraph` for the auxiliary instance in
 which gadget edges (including parallel ones) are allowed.  Both store
-edges as plain ``(u, v, weight)`` tuples indexed by edge id.
+edges as plain ``(u, v, weight)`` tuples indexed by edge id.  ``Graph``
+also lists each vertex's neighbours twice, as ``(neighbour, edge id)``
+pairs in ``adj`` and as plain ids in ``nbrs``, in the same order;
+detection searches ``nbrs`` and reads ``adj`` only for edge ids.
 
 All weights are integers.  ``Graph`` stores every input weight multiplied
 by two so that half-integral vertex potentials (for example the potentials
@@ -23,14 +26,19 @@ class Graph:
     be shared freely between threads.
     """
 
-    __slots__ = ("n", "t", "edges", "adj", "_edge_index", "unweighted")
+    __slots__ = ("n", "t", "edges", "adj", "nbrs", "_edge_index", "unweighted")
 
     def __init__(self, n: int, edges: list[tuple[int, int, int]], t: int):
         """Build a graph from ``(u, v, weight)`` triples.
 
         Weights are non-negative integers in input units.  Raises
+        ``InputFormatError`` for an endpoint out of range, and
         ``ValidationError`` for loops, parallel edges, negative weights,
         degrees above ``t+1``, or ``t < 3``.
+
+        ``adj[v]`` lists v's ``(neighbour, edge id)`` pairs in insertion
+        order, and ``nbrs[v]`` the same neighbours as plain ids, which is
+        what detection searches.
         """
         if t < 3:
             raise ValidationError(f"degree parameter t={t} is not supported; t must be >= 3")
@@ -40,34 +48,34 @@ class Graph:
         self.t = t
         self.edges: list[tuple[int, int, int]] = []
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.nbrs: list[list[int]] = [[] for _ in range(n)]
         self._edge_index: dict[tuple[int, int], int] = {}
         # Every weight is one (doubled: 2); the solve then takes the
         # cardinality track.
         self.unweighted = True
+        (out, adj, nbrs, index) = (self.edges, self.adj, self.nbrs, self._edge_index)
         for (u, v, w) in edges:
-            self._add_edge(u, v, 2 * w)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputFormatError(f"edge ({u},{v}) has an endpoint out of range")
+            if u == v:
+                raise ValidationError(f"loop at vertex {u} is not allowed")
+            if w < 0:
+                raise ValidationError(f"edge ({u},{v}) has negative weight")
+            key = (u, v) if u < v else (v, u)
+            if key in index:
+                raise ValidationError(f"parallel edge ({u},{v}) is not allowed")
+            eid = index[key] = len(out)
+            out.append((key[0], key[1], 2 * w))
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
             self.unweighted = self.unweighted and w == 1
         for v in range(n):
-            if len(self.adj[v]) > t + 1:
+            if len(adj[v]) > t + 1:
                 raise ValidationError(
-                    f"vertex {v} has degree {len(self.adj[v])}, exceeding t+1 = {t + 1}"
+                    f"vertex {v} has degree {len(adj[v])}, exceeding t+1 = {t + 1}"
                 )
-
-    def _add_edge(self, u: int, v: int, wd: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputFormatError(f"edge ({u},{v}) has an endpoint out of range")
-        if u == v:
-            raise ValidationError(f"loop at vertex {u} is not allowed")
-        if wd < 0:
-            raise ValidationError(f"edge ({u},{v}) has negative weight")
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_index:
-            raise ValidationError(f"parallel edge ({u},{v}) is not allowed")
-        eid = len(self.edges)
-        self._edge_index[key] = eid
-        self.edges.append((key[0], key[1], wd))
-        self.adj[u].append((v, eid))
-        self.adj[v].append((u, eid))
 
     @property
     def m(self) -> int:

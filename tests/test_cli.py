@@ -163,6 +163,14 @@ def test_generate_kpq_dense_roundtrip(tmp_path, capsys):
     assert "needs --p and --q" in capsys.readouterr().err
 
 
+def test_generate_rejects_a_negative_plant_count(capsys):
+    argv = ["generate", "--n", "5", "-t", "3", "--plant", "clique", "--count", "-2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "plant count -2 is negative" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--noise-hi", "-1"], "empty noise range [0, -1]"),
     (["--plant", "clique", "--pot-lo", "5", "--pot-hi", "0"], "empty potential range [5, 0]"),

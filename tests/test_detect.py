@@ -154,6 +154,25 @@ def test_biclique_at_k33(k33):
     assert subs[0].classes == ((0, 1, 2), (3, 4, 5))
 
 
+def test_q3_components_must_have_exactly_q_vertices():
+    # t = 12, K^5_3.  T = 3..14 is a cocktail-party graph (non-adjacent
+    # pairs (3,4), (5,6), ..., (13,14), every other pair adjacent), and
+    # v = 0 and its would-be class-mates 1 and 2 are each adjacent to all
+    # of T, not to each other.  Every vertex has degree at most 13 = t+1.
+    # T has no independent 3-set, so {0, 1, 2} is the only class a K^5_3
+    # could have and none exists.  At 0 the components of T are six pairs:
+    # a rule that accepted components of at most q vertices would pair
+    # them into classes of two.
+    T = range(3, 15)
+    edges = [(a, b) for (a, b) in itertools.combinations(T, 2) if not (a % 2 and b == a + 1)]
+    edges += [(x, y) for x in range(3) for y in T]
+    g = Graph(15, [(a, b, 1) for (a, b) in edges], 12)
+    assert max(g.degree(v) for v in range(15)) == 13
+    records, _, _ = find_all_forbidden(g, Variant.kpq(5, 3))
+    assert records == []
+    assert all(_find_at(residual(g), v, 5, 3) == [] for v in range(15))
+
+
 # --- property test against brute force ---------------------------------------
 
 # (t, variant): K_4, K_5, K_7, K_{3,3}, K_{4,4}, K_{5,5}, K^3_2, K^4_2, K^3_3,
@@ -652,7 +671,7 @@ def record_digest(graphs):
     return digest.hexdigest()
 
 
-def test_record_order_golden():
+def golden_corpora():
     planted = []
     for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES):
         s = 4000 + i
@@ -661,9 +680,37 @@ def test_record_order_golden():
         records, _, _ = find_all_forbidden(g, var)
         g = reweighted(g, vertex_induced_weights(g, records, (0, 5), (0, 6), s + 2))
         planted.append((g, var))
-    assert record_digest(planted) == GOLDEN_PLANTED_SHA256
     joined = [
         (joined_plants(400, shape, t, p, q, size, 10, 5000 + i), var)
         for i, (shape, t, var, p, q, size) in enumerate(BENCH_SHAPES)
     ]
+    return planted, joined
+
+
+def test_record_order_golden():
+    (planted, joined) = golden_corpora()
+    assert record_digest(planted) == GOLDEN_PLANTED_SHA256
     assert record_digest(joined) == GOLDEN_JOINED_SHA256
+
+
+# Per instance of the same two corpora, in BENCH_SHAPES order: the work
+# meter of find_all_forbidden, and one digest of every record's weight
+# and edge ids (dense clusters included), so that a change of the graph
+# representation cannot move either unseen.
+GOLDEN_PROBE_OPS = {
+    "planted": [7208, 7106, 4202, 5132, 4561],
+    "joined": [7217, 7362, 4183, 5364, 4608],
+}
+GOLDEN_EDGES_SHA256 = "4ff49dbbe1ae84391febfdecc0250618e076164d37799b338d4c3f1d4b0682b6"
+
+
+def test_probe_ops_and_record_edges_golden():
+    digest = hashlib.sha256()
+    for (name, graphs) in zip(("planted", "joined"), golden_corpora()):
+        ops = []
+        for (g, var) in graphs:
+            ops.append(find_all_forbidden(g, var)[2].probe_ops)
+            rows = [(r.weight, r.edge_ids) for r in forbidden_records(g, var)]
+            digest.update(repr(rows).encode())
+        assert ops == GOLDEN_PROBE_OPS[name], name
+    assert digest.hexdigest() == GOLDEN_EDGES_SHA256

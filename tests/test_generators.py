@@ -3,6 +3,7 @@ import pytest
 from tmatch.detect import find_all_forbidden, find_dense
 from tmatch.errors import InputFormatError
 from tmatch.generators import (
+    EXHAUSTIVE_MAX_N,
     plant_forbidden,
     random_bounded,
     reweighted,
@@ -28,6 +29,18 @@ def test_random_bounded_zero_prob():
 def test_random_bounded_caps_degree():
     g = random_bounded(5, 3, 1.0, 7)
     assert max(g.degree(v) for v in range(5)) <= 4
+
+
+def test_random_bounded_samples_past_the_exhaustive_size():
+    # One vertex past EXHAUSTIVE_MAX_N, where the pair list is not built.
+    n = EXHAUSTIVE_MAX_N + 1
+    for (t, p) in [(3, 0.5), (5, 0.0005), (4, 0.0)]:
+        g = random_bounded(n, t, p, 21)
+        assert g.n == n
+        assert max(g.degree(v) for v in range(n)) <= t + 1
+        assert g.edges == random_bounded(n, t, p, 21).edges
+        assert (g.m > 0) == (p > 0)
+    assert random_bounded(n, 3, 0.5, 21).edges != random_bounded(n, 3, 0.5, 22).edges
 
 
 def test_plant_two_cliques_detected():
